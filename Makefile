@@ -21,15 +21,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the parser targets and the batch-vs-sequential
-# pricing differential (one -fuzz per invocation, a Go toolchain
-# constraint).
+# Short fuzz smoke over the parser targets, the batch-vs-sequential
+# pricing differential and the profile-key spelling invariance (one
+# -fuzz per invocation, a Go toolchain constraint).
 fuzz:
 	$(GO) test -fuzz=FuzzParseDataflow -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseNetwork -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseHW -fuzztime=10s -run xxx ./internal/hw/
 	$(GO) test -fuzz=FuzzPartition -fuzztime=10s -run xxx ./internal/dse/
 	$(GO) test -fuzz=FuzzPriceBatch -fuzztime=10s -run xxx ./internal/core/
+	$(GO) test -fuzz=FuzzProfileKey -fuzztime=10s -run xxx ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionDAG -fuzztime=10s -run xxx ./internal/netsched/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s -run xxx ./internal/fleet/
 
@@ -39,10 +40,12 @@ bench:
 	$(GO) test -bench . -benchmem -run xxx ./internal/serve
 
 # DSE throughput: warm-cache, cold-profile, and per-point-Analyze
-# variants of the Explore benchmark plus the Profile/Price/PriceBatch
-# microbenchmarks; the measured numbers are recorded in BENCH_dse.json.
+# variants of the Explore benchmark, the Profile/Price/PriceBatch and
+# profile-key microbenchmarks, and a fixed-dataflow fusion schedule on
+# a warm profile cache; the measured numbers are recorded in
+# BENCH_dse.json.
 bench-dse:
-	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/
+	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/
 
 # Fleet scaling: 1/2/4 in-process nodes with injected per-shard service
 # time; the measured numbers are recorded in BENCH_fleet.json.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataflows"
 	"repro/internal/hw"
 	"repro/internal/noc"
+	"repro/internal/tensor"
 )
 
 // FuzzPriceBatch is the differential fuzz pass for the batch pricing
@@ -87,6 +88,36 @@ func FuzzPriceBatch(f *testing.F) {
 				t.Fatalf("lane %d (%s): batch diverged from sequential Price\nprice: %+v\nbatch: %+v",
 					i, cfg.Name, want, rs[i])
 			}
+		}
+	})
+}
+
+// FuzzProfileKey drives the profile identity with arbitrary DSL: the
+// encoder never panics, and whatever parses keys equal to its Augment
+// form, so the implicit maps Augment writes out encode exactly like
+// explicit directives. The layers include a raw depthwise shape whose
+// normalization changes the sizes Augment fills in.
+func FuzzProfileKey(f *testing.F) {
+	for i, name := range dataflows.Names {
+		f.Add(dataflows.Sources[name], uint8(i))
+	}
+	f.Add("TemporalMap(1,1) Y'; Cluster(Sz(R)); SpatialMap(2*Sz(S)-1, -3) X;", uint8(1))
+	f.Add("Cluster(4); Cluster(2);", uint8(2))
+	f.Add("", uint8(0))
+	layers := []tensor.Layer{
+		smallConv(),
+		{Name: "raw-dw", Op: tensor.DepthwiseConv,
+			Sizes: tensor.Sizes{tensor.K: 8, tensor.C: 4, tensor.Y: 6, tensor.X: 6, tensor.R: 3, tensor.S: 3}},
+		{Name: "fc", Op: tensor.FullyConnected, Sizes: tensor.Sizes{tensor.N: 2, tensor.K: 10, tensor.C: 16}},
+	}
+	f.Fuzz(func(t *testing.T, src string, pick uint8) {
+		df, err := dataflow.ParseDataflow("fuzz", src)
+		if err != nil {
+			return
+		}
+		layer := layers[int(pick)%len(layers)]
+		if ProfileKeyFor(df, layer, 64) != ProfileKeyFor(dataflow.Augment(df, layer), layer, 64) {
+			t.Fatalf("%q keys unlike its Augment form on %s", src, layer.Name)
 		}
 	})
 }

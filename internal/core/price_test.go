@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -418,34 +419,133 @@ func TestProfileCacheHammer(t *testing.T) {
 	}
 }
 
-// TestProfileCacheKeying checks hw-config-independent keying: distinct
-// layer names miss (reports echo the name), identical triples hit.
+// keyInput is one (dataflow, layer, numPEs) triple of the keying tests.
+type keyInput struct {
+	df    dataflow.Dataflow
+	layer tensor.Layer
+	pes   int
+}
+
+func (in keyInput) key() ProfileKey { return ProfileKeyFor(in.df, in.layer, in.pes) }
+
+// kcpBuilder spells Table 3's KC-P with the directive builders.
+func kcpBuilder() dataflow.Dataflow {
+	lit, sz := dataflow.Lit, dataflow.Sz
+	return dataflow.Dataflow{Name: "KC-P", Directives: []dataflow.Directive{
+		dataflow.SMap(lit(1), lit(1), tensor.K),
+		dataflow.TMap(lit(64), lit(64), tensor.C),
+		dataflow.TMap(sz(tensor.R), sz(tensor.R), tensor.R),
+		dataflow.TMap(sz(tensor.S), sz(tensor.S), tensor.S),
+		dataflow.TMap(sz(tensor.R), lit(1), tensor.Y),
+		dataflow.TMap(sz(tensor.S), lit(1), tensor.X),
+		dataflow.ClusterOf(lit(64)),
+		dataflow.SMap(lit(1), lit(1), tensor.C),
+	}}
+}
+
+// TestProfileCacheKeying pins the profile identity. Every spelling of
+// one (dataflow, layer, numPEs) triple — the builder, the DSL, the
+// Augment form, an implicit map written out — shares one key, and a
+// change to any input Profile reads gives a key of its own. The
+// hardware beyond the PE count is not an input.
 func TestProfileCacheKeying(t *testing.T) {
+	const pes = 256
+	layer := models.VGG16().Layers[10].Layer
+	base := func() keyInput { return keyInput{kcpBuilder(), layer, pes} }
+
+	augmented := dataflow.Augment(kcpBuilder(), layer)
+	reparsed, err := dataflow.ParseDataflow("KC-P", augmented.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// outputStationary leaves N to Augment, which appends the implicit
+	// TemporalMap(1,1) N after the level's explicit maps.
+	implicit := keyInput{outputStationary(), smallConv(), 4}
+	explicit := implicit
+	explicit.df.Directives = append(slices.Clone(implicit.df.Directives),
+		dataflow.TMap(dataflow.Lit(1), dataflow.Lit(1), tensor.N))
+	for _, tc := range []struct {
+		name string
+		a, b keyInput
+	}{
+		{"DSL and builder", keyInput{dataflows.Get("KC-P"), layer, pes}, base()},
+		{"Augment form", keyInput{augmented, layer, pes}, base()},
+		{"Augment form through the DSL", keyInput{reparsed, layer, pes}, base()},
+		{"implicit map written out", explicit, implicit},
+	} {
+		if tc.a.key() != tc.b.key() {
+			t.Errorf("%s: spellings of one mapping got distinct keys", tc.name)
+		}
+	}
+
+	type mutation struct {
+		name string
+		edit func(*keyInput)
+	}
+	muts := []mutation{
+		{"PEs", func(in *keyInput) { in.pes = 128 }},
+		{"layer name", func(in *keyInput) { in.layer.Name = "other" }},
+		{"operator", func(in *keyInput) { in.layer.Op = tensor.PointwiseConv }},
+		{"stride Y", func(in *keyInput) { in.layer.StrideY = 2 }},
+		{"stride X", func(in *keyInput) { in.layer.StrideX = 2 }},
+		{"dataflow name", func(in *keyInput) { in.df.Name = "KC-P2" }},
+		{"map kind", func(in *keyInput) { in.df.Directives[1].Kind = dataflow.Spatial }},
+		{"map dimension", func(in *keyInput) { in.df.Directives[1].Dim = tensor.N }},
+		{"size constant", func(in *keyInput) { in.df.Directives[1].Size = dataflow.Lit(32) }},
+		{"size term", func(in *keyInput) { in.df.Directives[2].Size = dataflow.Sz(tensor.S) }},
+		{"size coefficient", func(in *keyInput) {
+			in.df.Directives[2].Size = dataflow.SizeExpr{Terms: []dataflow.SizeTerm{{Dim: tensor.R, Coef: 2}}}
+		}},
+		{"offset constant", func(in *keyInput) { in.df.Directives[4].Offset = dataflow.Lit(2) }},
+		{"offset term", func(in *keyInput) { in.df.Directives[4].Offset = dataflow.Sz(tensor.R) }},
+		{"cluster size", func(in *keyInput) { in.df.Directives[6].Size = dataflow.Lit(32) }},
+		{"directive order", func(in *keyInput) {
+			d := in.df.Directives
+			d[4], d[5] = d[5], d[4]
+		}},
+	}
+	for _, d := range tensor.AllDims() {
+		muts = append(muts, mutation{"size " + d.String(), func(in *keyInput) {
+			in.layer.Sizes = in.layer.Sizes.Set(d, in.layer.Sizes.Get(d)+1)
+		}})
+	}
+	for _, k := range tensor.AllKinds() {
+		muts = append(muts, mutation{"density " + k.String(), func(in *keyInput) { in.layer.Density[k] = 0.5 }})
+	}
+	seen := map[ProfileKey]string{base().key(): "base"}
+	for _, m := range muts {
+		in := base()
+		m.edit(&in)
+		k := in.key()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("changing the %s gives the key of %s", m.name, prev)
+		}
+		seen[k] = m.name
+	}
+
+	// The cache is keyed by exactly this identity: a second spelling of
+	// a profiled triple is a hit.
 	cache := NewProfileCache(64)
-	layer := smallConv()
-	df := outputStationary()
-	if _, _, err := cache.ProfileDataflow(df, layer, 4); err != nil {
-		t.Fatal(err)
+	for _, df := range []dataflow.Dataflow{implicit.df, explicit.df} {
+		if _, _, err := cache.ProfileDataflow(df, implicit.layer, implicit.pes); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := cache.ProfileDataflow(df, layer, 4); err != nil {
-		t.Fatal(err)
+	if cache.Hits() != 1 || cache.Misses() != 1 {
+		t.Fatalf("two spellings of one triple: hits=%d misses=%d, want 1 and 1", cache.Hits(), cache.Misses())
 	}
-	if h := cache.Hits(); h != 1 {
-		t.Fatalf("want 1 hit for identical triple, got %d", h)
-	}
-	renamed := layer
-	renamed.Name = "other"
-	if _, _, err := cache.ProfileDataflow(df, renamed, 4); err != nil {
-		t.Fatal(err)
-	}
-	if m := cache.Misses(); m != 2 {
-		t.Fatalf("renamed layer should miss (name is echoed in reports); misses = %d", m)
-	}
-	if _, _, err := cache.ProfileDataflow(df, layer, 8); err != nil {
-		t.Fatal(err)
-	}
-	if m := cache.Misses(); m != 3 {
-		t.Fatalf("different PE count should miss; misses = %d", m)
+}
+
+// BenchmarkProfileKey measures one profile-cache key: the canonical
+// encoding of a Table 3 dataflow, a zoo layer and the PE count, hashed
+// with SHA-256. Every ProfileCache lookup pays it, hit or miss.
+func BenchmarkProfileKey(b *testing.B) {
+	layer := models.VGG16().Layers[10].Layer
+	df := dataflows.Get("KC-P")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ProfileKeyFor(df, layer, 256)
 	}
 }
 

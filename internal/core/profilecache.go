@@ -4,8 +4,9 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"strings"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -23,19 +24,94 @@ type ProfileKey [32]byte
 // profileKey canonicalizes exactly the inputs Profile depends on. The
 // layer name stays in the key because profiles embed the spec whose
 // layer name is echoed in reports; the hardware beyond NumPEs is
-// deliberately absent — that is the point of the split.
+// deliberately absent — that is the point of the split. The encoding is
+// built in a stack buffer, so a lookup hashes without allocating.
 func profileKey(df dataflow.Dataflow, layer tensor.Layer, numPEs int) ProfileKey {
-	var b strings.Builder
-	fmt.Fprintf(&b, "profile|pes=%d\nlayer|%s|op=%s|", numPEs, layer.Name, layer.Op)
-	for _, d := range tensor.AllDims() {
-		fmt.Fprintf(&b, "%s=%d,", d, layer.Sizes.Get(d))
+	var buf [512]byte
+	return sha256.Sum256(AppendProfileIdentity(buf[:0], df, layer, numPEs))
+}
+
+// AppendProfileIdentity appends the canonical binary encoding of a
+// (dataflow, layer, numPEs) triple to b: the PE count, the raw layer
+// fields, the dataflow name, and the dataflow's directives in the
+// augmented form of dataflow.Augment — at each cluster level every
+// dimension d the level leaves unmentioned is encoded as the
+// single-chunk TemporalMap(n,n) d entry Augment would add (n is d's
+// size in the normalized layer), byte for byte like an explicit
+// directive. Any surface spelling of one mapping (the builder, the
+// DSL, an already augmented form) therefore encodes identically.
+//
+// Integers are varints, strings and size expressions carry their
+// length, floats are their IEEE-754 bits, and the directive records are
+// tagged and closed by an end tag, so the encoding is injective and
+// stays so with further fields appended after it.
+func AppendProfileIdentity(b []byte, df dataflow.Dataflow, layer tensor.Layer, numPEs int) []byte {
+	b = binary.AppendVarint(b, int64(numPEs))
+	b = appendString(b, layer.Name)
+	b = append(b, byte(layer.Op))
+	for _, v := range layer.Sizes {
+		b = binary.AppendVarint(b, int64(v))
 	}
-	fmt.Fprintf(&b, "|sy=%d|sx=%d|den=%g,%g,%g\n",
-		layer.StrideY, layer.StrideX,
-		layer.Density[tensor.Input], layer.Density[tensor.Weight], layer.Density[tensor.Output])
-	aug := dataflow.Augment(df, layer)
-	fmt.Fprintf(&b, "dataflow|%s|\n%s", aug.Name, aug.String())
-	return sha256.Sum256([]byte(b.String()))
+	b = binary.AppendVarint(b, int64(layer.StrideY))
+	b = binary.AppendVarint(b, int64(layer.StrideX))
+	for _, d := range layer.Density {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d))
+	}
+	b = appendString(b, df.Name)
+
+	full := layer.Normalize().Sizes // Augment sizes implicit maps on the normalized layer
+	var mentioned tensor.DimSet
+	for _, d := range df.Directives {
+		if d.IsCluster {
+			b = appendImplicitMaps(b, mentioned, full)
+			mentioned = 0
+		} else {
+			mentioned = mentioned.Add(d.Dim)
+		}
+		b = appendDirective(b, d)
+	}
+	b = appendImplicitMaps(b, mentioned, full)
+	return append(b, tagEnd)
+}
+
+// Directive record tags of the identity encoding.
+const (
+	tagEnd byte = iota
+	tagMap
+	tagCluster
+)
+
+// appendImplicitMaps encodes the single-chunk temporal maps Augment
+// appends to a cluster level for every dimension it does not mention.
+func appendImplicitMaps(b []byte, mentioned tensor.DimSet, full tensor.Sizes) []byte {
+	for d := tensor.Dim(0); d < tensor.NumDims; d++ {
+		if !mentioned.Has(d) {
+			sz := dataflow.Lit(full.Get(d))
+			b = appendDirective(b, dataflow.TMap(sz, sz, d))
+		}
+	}
+	return b
+}
+
+func appendDirective(b []byte, d dataflow.Directive) []byte {
+	if d.IsCluster {
+		return appendSizeExpr(append(b, tagCluster), d.Size)
+	}
+	b = append(b, tagMap, byte(d.Kind), byte(d.Dim))
+	return appendSizeExpr(appendSizeExpr(b, d.Size), d.Offset)
+}
+
+func appendSizeExpr(b []byte, e dataflow.SizeExpr) []byte {
+	b = binary.AppendVarint(b, int64(e.Const))
+	b = binary.AppendUvarint(b, uint64(len(e.Terms)))
+	for _, t := range e.Terms {
+		b = binary.AppendVarint(append(b, byte(t.Dim)), int64(t.Coef))
+	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // ProfileKeyFor exposes the canonical profile identity of a

@@ -108,14 +108,9 @@ func (lx *lexer) next() (token, error) {
 
 func (lx *lexer) scan() (token, error) {
 	c := lx.src[lx.pos]
-	single := map[byte]tokKind{
-		'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
-		',': tokComma, ';': tokSemi, ':': tokColon,
-		'+': tokPlus, '-': tokMinus, '*': tokStar,
-	}
-	if k, ok := single[c]; ok {
+	if k := punct(c); k != tokEOF {
 		lx.pos++
-		return token{kind: k, text: string(c), line: lx.line}, nil
+		return token{kind: k, text: lx.src[lx.pos-1 : lx.pos], line: lx.line}, nil
 	}
 	if c >= '0' && c <= '9' {
 		start := lx.pos
@@ -144,6 +139,34 @@ func (lx *lexer) scan() (token, error) {
 		return token{kind: tokIdent, text: lx.src[start:lx.pos], line: lx.line}, nil
 	}
 	return token{}, lx.errorf("unexpected character %q", c)
+}
+
+// punct returns the kind of a single-character token, or tokEOF when c
+// starts none.
+func punct(c byte) tokKind {
+	switch c {
+	case '(':
+		return tokLParen
+	case ')':
+		return tokRParen
+	case '{':
+		return tokLBrace
+	case '}':
+		return tokRBrace
+	case ',':
+		return tokComma
+	case ';':
+		return tokSemi
+	case ':':
+		return tokColon
+	case '+':
+		return tokPlus
+	case '-':
+		return tokMinus
+	case '*':
+		return tokStar
+	}
+	return tokEOF
 }
 
 func isIdentStart(r rune) bool {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -18,6 +19,22 @@ func TestTable3Parse(t *testing.T) {
 	}
 	if len(All()) != 5 {
 		t.Fatal("expected five dataflows")
+	}
+}
+
+// TestParseAllocs bounds the allocations of parsing one Table 3
+// dataflow. The service parses the named dataflow on every analyze
+// request and batch item, so the lexer must not allocate per token (a
+// per-token lookup map once cost ~300 allocations per parse).
+func TestParseAllocs(t *testing.T) {
+	src := Sources["KC-P"]
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := dataflow.ParseDataflow("KC-P", src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("parsing KC-P allocates %.0f times; want <= 20", allocs)
 	}
 }
 

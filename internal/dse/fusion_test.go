@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -64,6 +65,41 @@ func TestExploreFusionGoogLeNet(t *testing.T) {
 		if p.DRAMTraffic < best.DRAMTraffic {
 			t.Fatalf("best %+v beaten by %+v", best, p)
 		}
+	}
+}
+
+// TestExploreFusionWorkersAgree runs one fixed-dataflow fusion sweep
+// with four workers, then with one: the cells share
+// core.DefaultProfileCache concurrently (the four-worker run goes
+// first, so its cells race on the same profiles), and the points must
+// agree exactly.
+func TestExploreFusionWorkersAgree(t *testing.T) {
+	sp := FusionSpace{
+		Model:          models.MobileNetV2(),
+		Cfg:            hw.Accel256().Normalize(),
+		Dataflow:       "YR-P",
+		L2Grid:         []int64{0, 64 << 10, 256 << 10, 1 << 20},
+		MaxGroupLayers: []int{1, 4},
+	}
+	run := func(workers int) ([]FusionPoint, FusionStats) {
+		sp := sp
+		sp.Workers = workers
+		points, stats, err := ExploreFusion(sp)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return points, stats
+	}
+	par, parStats := run(4)
+	seq, seqStats := run(1)
+	if parStats.Valid != seqStats.Valid || parStats.Raw != seqStats.Raw {
+		t.Fatalf("stats differ: workers=4 %+v, workers=1 %+v", parStats, seqStats)
+	}
+	if len(seq) == 0 {
+		t.Fatal("sweep priced no point")
+	}
+	if !reflect.DeepEqual(par, seq) {
+		t.Fatalf("points differ:\nworkers=4 %+v\nworkers=1 %+v", par, seq)
 	}
 }
 

@@ -25,6 +25,12 @@ type Table struct {
 	DRAM    float64 // one element transferred to/from DRAM
 }
 
+// DRAMPJ is the energy (pJ) of moving one element to or from DRAM: the
+// conventional ~200x MAC energy for off-chip DRAM. DefaultTable uses
+// it, and so do the network schedulers, which re-price a layer's DRAM
+// term after inter-layer residency and fusion.
+const DRAMPJ = 200.0
+
 // SRAMRead estimates the read energy (pJ) of one element access to a
 // 28 nm SRAM scratchpad of the given byte capacity. The form
 // base + k*sqrt(KB) is the standard Cacti-like capacity scaling.
@@ -51,7 +57,7 @@ func DefaultTable(l1Bytes, l2Bytes int64) Table {
 		L2Read:  SRAMRead(l2Bytes),
 		L2Write: SRAMWrite(l2Bytes),
 		NoCHop:  0.35,
-		DRAM:    200, // the conventional ~200x MAC energy for off-chip DRAM
+		DRAM:    DRAMPJ,
 	}
 }
 

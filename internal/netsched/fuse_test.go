@@ -1,8 +1,11 @@
 package netsched
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -105,6 +108,70 @@ func TestFusedSentinelMatchesPerLayerSum(t *testing.T) {
 				t.Errorf("%s/%s: baseline %d != traffic %d at sentinel",
 					m.Name, name, fused.BaselineDRAM, fused.DRAMTraffic)
 			}
+		}
+	}
+}
+
+// TestFusedMembersMatchEngine pins the cached fixed-dataflow path:
+// every member of a fixed-dataflow schedule — layers priced from the
+// shared profile cache and fused members' compact re-tunes alike — is
+// bit-identical to a one-shot core.AnalyzeDataflow of its mapping, and
+// so is every layer of the per-layer Run. The second pass schedules
+// from a warm cache.
+func TestFusedMembersMatchEngine(t *testing.T) {
+	m := models.GoogLeNet()
+	cfg := edgeCfg()
+	check := func(what string, df dataflow.Dataflow, layer tensor.Layer, got *core.Result) {
+		t.Helper()
+		want, err := core.AnalyzeDataflow(df, layer, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: scheduled result differs from core.AnalyzeDataflow\nwant %+v\ngot  %+v", what, want, got)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		fused := 0
+		for _, l2 := range []int64{0, 256 << 10} {
+			s, err := RunFused(m, cfg, FuseOptions{Options: Options{L2Bytes: l2, Dataflow: fixedKCP}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fused += s.FusedGroups()
+			for _, g := range s.Groups {
+				for _, mb := range g.Members {
+					check(mb.Inst.Layer.Name, mb.Dataflow, mb.Inst.Layer, mb.Result)
+				}
+			}
+		}
+		if fused == 0 {
+			t.Fatal("no fused group: the compact re-tune path went unchecked")
+		}
+		plain, err := Run(m, cfg, Options{Dataflow: fixedKCP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range plain.Plans {
+			check("Run "+p.Inst.Layer.Name, p.Dataflow, p.Inst.Layer, p.Result)
+		}
+	}
+}
+
+// BenchmarkRunFused schedules GoogLeNet at 256 KiB with a fixed KC-P
+// mapping on a warm profile cache: the per-cell cost of a fusion sweep,
+// where every cell re-maps the same layers on the same hardware.
+func BenchmarkRunFused(b *testing.B) {
+	m := models.GoogLeNet()
+	opt := FuseOptions{Options: Options{L2Bytes: 256 << 10, Dataflow: fixedKCP}}
+	if _, err := RunFused(m, edgeCfg(), opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunFused(m, edgeCfg(), opt); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

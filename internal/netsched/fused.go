@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/energy"
 	"repro/internal/hw"
 	"repro/internal/models"
 )
@@ -111,7 +112,7 @@ func RunFused(m models.Model, cfg hw.Config, opt FuseOptions) (*FusedSchedule, e
 		s.TotalCycles += gp.Cycles
 		s.DRAMTraffic += c.cost
 		s.ActTraffic += (c.actR + c.actW) * count
-		s.EnergyPJ += float64(c.cost) * 200
+		s.EnergyPJ += float64(c.cost) * energy.DRAMPJ
 		s.Groups = append(s.Groups, gp)
 	}
 	s.DRAMSaved = s.BaselineDRAM - s.DRAMTraffic

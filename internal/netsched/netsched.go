@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/energy"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -140,7 +141,7 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 					n := int64(m.Layers[p].Count)
 					sched.DRAMTraffic += ent.savedW * n
 					sched.DRAMSaved -= ent.savedW * n
-					sched.EnergyPJ += float64(ent.savedW*n) * 200
+					sched.EnergyPJ += float64(ent.savedW*n) * energy.DRAMPJ
 					delete(live, p)
 				}
 				heldBytes = 0
@@ -199,7 +200,7 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 		// Price the layer with its DRAM term replaced by the
 		// residency-adjusted traffic.
 		eb := r.EnergyDefault()
-		perInst := eb.OnChip() + float64(plan.DRAMReads+plan.DRAMWrites)*200
+		perInst := eb.OnChip() + float64(plan.DRAMReads+plan.DRAMWrites)*energy.DRAMPJ
 		sched.EnergyPJ += perInst * float64(n)
 	}
 	// The DRAM link bounds the end-to-end runtime too.
@@ -213,7 +214,10 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 func chooseMapping(layer tensor.Layer, cfg hw.Config, opt Options) (dataflow.Dataflow, *core.Result, error) {
 	if opt.Dataflow != nil {
 		if df, ok := opt.Dataflow(layer); ok {
-			r, err := core.AnalyzeDataflow(df, layer, cfg)
+			// Priced from the shared profile cache, as the tuner's
+			// candidates are: sweeps that re-schedule a model under
+			// other budgets or bandwidths walk each layer once.
+			r, err := core.AnalyzeDataflowCached(df, layer, cfg)
 			return df, r, err
 		}
 		// No mapping for this layer: fall through to the tuner so a

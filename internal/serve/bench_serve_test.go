@@ -72,8 +72,9 @@ func BenchmarkAnalyzeUncached(b *testing.B) {
 	})
 }
 
-// BenchmarkCanonicalKey isolates the canonicalizer (resolve + augment +
-// re-emit + SHA-256), the fixed cost every request pays.
+// BenchmarkCanonicalKey isolates the canonicalizer (profile identity
+// plus hardware fields, hashed with SHA-256), the fixed cost every
+// request pays.
 func BenchmarkCanonicalKey(b *testing.B) {
 	r, err := resolveRequest(benchReq(false))
 	if err != nil {

@@ -2,21 +2,23 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
-	"repro/internal/dataflow"
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/tensor"
 )
 
-// The canonicalizer turns a resolved request into a stable cache key:
-// the layer after normalization, the dataflow after augmentation
-// (implicit maps made explicit and re-emitted through the DSL, so any
-// surface spelling of the same mapping — builder vs DSL, whitespace,
-// named vs inline — hashes identically), and the hardware configuration
-// after normalization, rendered field by field in a fixed order and
-// hashed with SHA-256.
+// The analyze canonicalizer turns a resolved request into a stable
+// cache key: core's profile identity (the raw layer fields and the
+// dataflow in Augment's canonical form, so any surface spelling of the
+// same mapping — builder vs DSL, whitespace, named vs inline — encodes
+// identically) followed by the normalized hardware configuration, field
+// by field in a fixed order, hashed with SHA-256. The DSE and routing
+// keys below render the layer as text instead.
 
 func canonicalLayer(b *strings.Builder, l tensor.Layer) {
 	fmt.Fprintf(b, "layer|%s|op=%s|", l.Name, l.Op)
@@ -28,15 +30,33 @@ func canonicalLayer(b *strings.Builder, l tensor.Layer) {
 		l.Density[tensor.Input], l.Density[tensor.Weight], l.Density[tensor.Output])
 }
 
-func canonicalHW(b *strings.Builder, cfg hw.Config) {
-	fmt.Fprintf(b, "hw|pes=%d|vw=%d|l1=%d|l2=%d|off=%g|eb=%d|clk=%g|sparse=%t|",
-		cfg.NumPEs, cfg.VectorWidth, cfg.L1Size, cfg.L2Size,
-		cfg.OffchipBandwidth, cfg.ElemBytes, cfg.ClockGHz, cfg.SparseImbalance)
+// appendHW encodes every model-relevant hardware field in a fixed
+// order: integers as varints, floats as their IEEE-754 bits, the NoC
+// list behind its length. The encoding is self-delimiting.
+func appendHW(b []byte, cfg hw.Config) []byte {
+	b = binary.AppendVarint(b, int64(cfg.NumPEs))
+	b = binary.AppendVarint(b, int64(cfg.VectorWidth))
+	b = binary.AppendVarint(b, cfg.L1Size)
+	b = binary.AppendVarint(b, cfg.L2Size)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cfg.OffchipBandwidth))
+	b = binary.AppendVarint(b, int64(cfg.ElemBytes))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cfg.ClockGHz))
+	b = appendBool(b, cfg.SparseImbalance)
+	b = binary.AppendUvarint(b, uint64(len(cfg.NoCs)))
 	for _, m := range cfg.NoCs {
-		fmt.Fprintf(b, "noc:bw=%g,lat=%d,mc=%t,red=%t,ch=%d;",
-			m.Bandwidth, m.AvgLatency, m.Multicast, m.Reduction, m.Channels)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Bandwidth))
+		b = binary.AppendVarint(b, m.AvgLatency)
+		b = appendBool(appendBool(b, m.Multicast), m.Reduction)
+		b = binary.AppendVarint(b, int64(m.Channels))
 	}
-	b.WriteByte('\n')
+	return b
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // canonicalKey hashes the canonical encoding of a resolved analysis
@@ -44,12 +64,9 @@ func canonicalHW(b *strings.Builder, cfg hw.Config) {
 // excluded; the layer and dataflow names are kept because responses
 // echo them.
 func canonicalKey(r resolved) Key {
-	var b strings.Builder
-	canonicalLayer(&b, r.layer)
-	aug := dataflow.Augment(r.df, r.layer)
-	fmt.Fprintf(&b, "dataflow|%s|\n%s", aug.Name, aug.String())
-	canonicalHW(&b, r.cfg)
-	return sha256.Sum256([]byte(b.String()))
+	var buf [640]byte
+	b := core.AppendProfileIdentity(buf[:0], r.df, r.layer, r.cfg.NumPEs)
+	return sha256.Sum256(appendHW(b, r.cfg))
 }
 
 // canonicalDSEKey hashes a DSE request's canonical encoding. The shard

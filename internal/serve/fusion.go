@@ -154,15 +154,13 @@ func buildFusionSpace(req FusionRequest) (dse.FusionSpace, error) {
 
 // canonicalFusionKey hashes a fusion request's canonical encoding.
 func canonicalFusionKey(cfg hw.Config, req FusionRequest) Key {
-	var b strings.Builder
-	b.WriteString("fusion\n")
-	fmt.Fprintf(&b, "model=%s|df=%s|l2=%v|mgl=%v\n",
+	b := appendHW(nil, cfg)
+	b = fmt.Appendf(b, "fusion\nmodel=%s|df=%s|l2=%v|mgl=%v\n",
 		req.Model, req.Dataflow, req.L2Grid, req.MaxGroupLayers)
 	if sh := req.Shard; sh != nil {
-		fmt.Fprintf(&b, "shard|%d/%d\n", sh.Index, sh.Of)
+		b = fmt.Appendf(b, "shard|%d/%d\n", sh.Index, sh.Of)
 	}
-	canonicalHW(&b, cfg)
-	return sha256.Sum256([]byte(b.String()))
+	return sha256.Sum256(b)
 }
 
 // runFusionTraced runs the sweep inside ctx's span tree.

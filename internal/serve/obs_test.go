@@ -103,6 +103,9 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// The middleware logs after the handler returns, which can be after
+	// the client has the response; Close waits for the request to finish.
+	ts.Close()
 	out := buf.String()
 	if !strings.Contains(out, "http_request") ||
 		!strings.Contains(out, "request_id=log-req-9") ||
