@@ -22,7 +22,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke over the parser targets, the batch-vs-sequential
-# pricing differential and the profile-key spelling invariance (one
+# pricing differential, the profile-key spelling invariance and the
+# traceparent header parser; the same list as CI's fuzz smoke (one
 # -fuzz per invocation, a Go toolchain constraint).
 fuzz:
 	$(GO) test -fuzz=FuzzParseDataflow -fuzztime=10s -run xxx ./internal/dataflow/
@@ -31,6 +32,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPartition -fuzztime=10s -run xxx ./internal/dse/
 	$(GO) test -fuzz=FuzzPriceBatch -fuzztime=10s -run xxx ./internal/core/
 	$(GO) test -fuzz=FuzzProfileKey -fuzztime=10s -run xxx ./internal/core/
+	$(GO) test -fuzz=FuzzExtractTraceparent -fuzztime=10s -run xxx ./internal/obs/
 	$(GO) test -fuzz=FuzzPartitionDAG -fuzztime=10s -run xxx ./internal/netsched/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s -run xxx ./internal/fleet/
 

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [fig9|fig10|fig11|fig12|fig13|table1|table3|table4|table5|headline|all]
+//	experiments [-quick] [fig9|fig10|fig11|fig12|fig13|table1|table3|table4|table5|headline|ablation|all]
 //
 // Each experiment prints the rows/series the corresponding paper table or
 // figure reports; EXPERIMENTS.md records paper-vs-measured values.
@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -27,28 +26,16 @@ func main() {
 	if flag.NArg() > 0 {
 		kind = flag.Arg(0)
 	}
-	runs := map[string]func(io.Writer, experiments.Options) error{
-		"fig9":     experiments.Fig9,
-		"fig10":    experiments.Fig10,
-		"fig11":    experiments.Fig11,
-		"fig12":    experiments.Fig12,
-		"fig13":    experiments.Fig13,
-		"table1":   experiments.Table1,
-		"table3":   experiments.Table3,
-		"table4":   experiments.Table4,
-		"table5":   experiments.Table5,
-		"headline": experiments.Headline,
-		"ablation": experiments.Ablations,
-	}
-	order := []string{"table1", "table3", "table4", "fig9", "fig10", "fig11", "fig12", "table5", "fig13", "headline", "ablation"}
-
+	var selected []experiments.Experiment
 	var names []string
-	if kind == "all" {
-		names = order
-	} else if _, ok := runs[kind]; ok {
-		names = []string{kind}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %v or all\n", kind, order)
+	for _, e := range experiments.All {
+		names = append(names, e.Name)
+		if kind == "all" || kind == e.Name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %v or all\n", kind, names)
 		os.Exit(2)
 	}
 	if *csvDir != "" {
@@ -63,12 +50,12 @@ func main() {
 		}
 		fmt.Printf("wrote %d design-space CSVs to %s\n", len(runs), *csvDir)
 	}
-	for i, n := range names {
+	for i, e := range selected {
 		if i > 0 {
-			fmt.Println("\n================================================================")
+			fmt.Println("\n" + experiments.Separator)
 		}
-		if err := runs[n](os.Stdout, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", n, err)
+		if err := e.Run(os.Stdout, opt); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}

@@ -144,8 +144,8 @@ func (e *engine) analyzeLevel(level int, dims tensor.Sizes) (*nodeRes, error) {
 	// Scratch chunk-selection masks, reused across every case of this
 	// level (each case fully rewrites them). Child levels recurse with
 	// their own, so reuse is safe.
-	edges := make([]bool, nloops)
-	oldEdges := make([]bool, nloops)
+	var edgeBuf, oldEdgeBuf [maxLoops]bool
+	edges, oldEdges := edgeBuf[:nloops], oldEdgeBuf[:nloops]
 
 	// process prices one data-iteration case. adv == -1 is the level's
 	// first step; otherwise loop adv advances with the loops inside it
@@ -326,14 +326,8 @@ func (e *engine) analyzeLevel(level int, dims tensor.Sizes) (*nodeRes, error) {
 	// Enumerate cases: START, then every advancing loop crossed with the
 	// outer loops' first/steady/edge classes.
 	en := newCaseEnum(a)
-	if err := process(-1, en.start(), 1); err != nil {
-		return nil, err
-	}
-	for adv := 0; adv < nloops; adv++ {
-		if loops[adv].Steps < 2 {
-			continue
-		}
-		if err := en.enumerate(adv, process); err != nil {
+	for en.next() {
+		if err := process(en.adv, en.classes(), en.occ); err != nil {
 			return nil, err
 		}
 	}

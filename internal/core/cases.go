@@ -14,73 +14,112 @@ type loopClass struct {
 	count int64
 }
 
+// classChoices is one loop's list of class choices for a case sweep:
+// never more than three (first, final, steady), so it lives by value.
+type classChoices struct {
+	c [3]loopClass
+	n int
+}
+
+func (cc *classChoices) add(lc loopClass) {
+	cc.c[cc.n] = lc
+	cc.n++
+}
+
+// maxLoops bounds a level's temporal nest: every dimension appears once
+// per level, and the fold pseudo-loop only exists alongside a spatial map,
+// which is not a temporal loop itself.
+const maxLoops = int(tensor.NumDims)
+
 // caseEnum enumerates the data-iteration cases of one cluster level
-// (Figure 8's ExtractDataIterationCases). It owns the scratch slices the
-// enumeration walks over, so the per-case callbacks allocate nothing:
-// one caseEnum serves every case of one analyzeLevel/profileLevel call.
+// (Figure 8's ExtractDataIterationCases) as an iterator: next steps to
+// the level's very first step (adv == -1, every loop at its first
+// index), then, for every multi-step loop adv in nest order, through each
+// combination of adv's arrival classes with the classes of the loops
+// outside it (the loops inside adv reset). All of its state is fixed-size,
+// so a level walk keeps it on its stack and the per-case callbacks
+// allocate nothing (TestWalkAllocsPerNode):
+//
+//	en := newCaseEnum(a)
+//	for en.next() {
+//		process(en.adv, en.classes(), en.occ)
+//	}
 type caseEnum struct {
 	a     *reuse.Analysis
 	loops []reuse.Loop
 
-	cls     []loopClass   // current class assignment, reused across cases
-	choices [][]loopClass // per-loop choice lists, reused across advs
-	single  []loopClass   // per-loop reset/single-step class (first, last iff 1 step)
+	adv int   // loop advancing in the current case; -1 for the first step, -2 before it
+	occ int64 // concrete steps the current case covers
+
+	cls     [maxLoops]loopClass    // current class assignment
+	choices [maxLoops]classChoices // per-loop choice lists for adv
+	pick    [maxLoops]int          // per-loop index into choices
 }
 
-func newCaseEnum(a *reuse.Analysis) *caseEnum {
-	n := len(a.Loops)
-	en := &caseEnum{
-		a:       a,
-		loops:   a.Loops,
-		cls:     make([]loopClass, n),
-		choices: make([][]loopClass, n),
-		single:  make([]loopClass, n),
+func newCaseEnum(a *reuse.Analysis) caseEnum {
+	return caseEnum{a: a, loops: a.Loops, adv: -2}
+}
+
+// classes returns the current case's class assignment, one per loop. It
+// aliases the enumerator and is only valid until the next call to next.
+func (en *caseEnum) classes() []loopClass { return en.cls[:len(en.loops)] }
+
+// next steps to the next data-iteration case and reports whether there
+// is one. Within one adv, combinations come in lexicographic order of
+// the per-loop choices, outermost loop most significant.
+func (en *caseEnum) next() bool {
+	// Odometer over loops 0..adv; the loops inside adv have one choice.
+	for i := en.adv; i >= 0; i-- {
+		if en.pick[i]+1 < en.choices[i].n {
+			en.pick[i]++
+			en.cls[i] = en.choices[i].c[en.pick[i]]
+			en.setOcc()
+			return true
+		}
+		en.pick[i] = 0
+		en.cls[i] = en.choices[i].c[0]
 	}
-	for i, lp := range a.Loops {
-		en.single[i] = loopClass{first: true, last: lp.Steps == 1, count: 1}
+	for en.adv++; en.adv < len(en.loops); en.adv++ {
+		if en.adv == -1 || en.loops[en.adv].Steps >= 2 {
+			en.begin()
+			return true
+		}
 	}
-	return en
+	return false
 }
 
-// start returns the class assignment of the level's very first step:
-// every loop at its first index.
-func (en *caseEnum) start() []loopClass {
-	copy(en.cls, en.single)
-	return en.cls
-}
-
-// enumerate crosses the class choices of the loops outside adv with the
-// arrival classes of adv itself and invokes process for each combination.
-// The cls slice passed to process is owned by the enumerator and only
-// valid for the duration of the call.
-func (en *caseEnum) enumerate(adv int, process func(adv int, cls []loopClass, occ int64) error) error {
+// begin builds the choice lists for advancing loop en.adv (every loop
+// resets for the first step, adv == -1) and selects the first
+// combination.
+func (en *caseEnum) begin() {
+	adv := en.adv
 	for i, lp := range en.loops {
+		var cc classChoices
 		switch {
 		case i > adv || lp.Steps < 2:
 			// Inner loops reset to their first index; single-step loops
 			// have one position that is both first and last.
-			en.choices[i] = en.single[i : i+1 : i+1]
+			cc.add(loopClass{first: true, last: lp.Steps == 1, count: 1})
 		case i == adv:
-			en.choices[i] = arrivalClasses(lp, splitLast(en.a, en.loops, i))
+			cc = arrivalClasses(lp, splitLast(en.a, en.loops, i))
 		default:
-			en.choices[i] = outerClasses(lp, splitLast(en.a, en.loops, i),
+			cc = outerClasses(lp, splitLast(en.a, en.loops, i),
 				!en.a.Affects(tensor.Output, i))
 		}
+		en.choices[i] = cc
+		en.pick[i] = 0
+		en.cls[i] = cc.c[0]
 	}
-	var walk func(i int, occ int64) error
-	walk = func(i int, occ int64) error {
-		if i == len(en.loops) {
-			return process(adv, en.cls, occ)
-		}
-		for _, ch := range en.choices[i] {
-			en.cls[i] = ch
-			if err := walk(i+1, occ*ch.count); err != nil {
-				return err
-			}
-		}
-		return nil
+	en.setOcc()
+}
+
+// setOcc sets occ to the number of concrete steps the current class
+// assignment covers.
+func (en *caseEnum) setOcc() {
+	en.occ = 1
+	for _, lc := range en.classes() {
+		en.occ *= lc.count
 	}
-	return walk(0, 1)
 }
 
 // splitLast reports whether a loop's final index must be distinguished
@@ -97,45 +136,47 @@ func splitLast(a *reuse.Analysis, loops []reuse.Loop, i int) bool {
 
 // arrivalClasses enumerates where an advancing loop lands: indices
 // 1..T-1, with the final index split out when it matters.
-func arrivalClasses(lp reuse.Loop, split bool) []loopClass {
+func arrivalClasses(lp reuse.Loop, split bool) classChoices {
 	t := int64(lp.Steps)
+	var cc classChoices
 	if !split {
-		return []loopClass{{count: t - 1}}
+		cc.add(loopClass{count: t - 1})
+		return cc
 	}
-	cls := []loopClass{{last: true, count: 1}}
+	cc.add(loopClass{last: true, count: 1})
 	if t > 2 {
-		cls = append(cls, loopClass{count: t - 2})
+		cc.add(loopClass{count: t - 2})
 	}
-	return cls
+	return cc
 }
 
 // outerClasses enumerates an outer loop's position: first/steady/final,
 // with first split out only for reduction loops (it gates partial-sum
 // re-reads) and final split out when splitLast says so.
-func outerClasses(lp reuse.Loop, splitLastIdx, splitFirst bool) []loopClass {
+func outerClasses(lp reuse.Loop, splitLastIdx, splitFirst bool) classChoices {
 	t := int64(lp.Steps)
+	var cc classChoices
 	switch {
 	case splitFirst && splitLastIdx:
-		cls := []loopClass{{first: true, count: 1}, {last: true, count: 1}}
+		cc.add(loopClass{first: true, count: 1})
+		cc.add(loopClass{last: true, count: 1})
 		if t > 2 {
-			cls = append(cls, loopClass{count: t - 2})
+			cc.add(loopClass{count: t - 2})
 		}
-		return cls
 	case splitFirst:
-		cls := []loopClass{{first: true, count: 1}}
+		cc.add(loopClass{first: true, count: 1})
 		if t > 1 {
-			cls = append(cls, loopClass{count: t - 1})
+			cc.add(loopClass{count: t - 1})
 		}
-		return cls
 	case splitLastIdx:
-		cls := []loopClass{{last: true, count: 1}}
+		cc.add(loopClass{last: true, count: 1})
 		if t > 1 {
-			cls = append(cls, loopClass{count: t - 1})
+			cc.add(loopClass{count: t - 1})
 		}
-		return cls
 	default:
-		return []loopClass{{count: t}}
+		cc.add(loopClass{count: t})
 	}
+	return cc
 }
 
 func max3(a, b, c int64) int64 {

@@ -335,8 +335,8 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 
 	n := profNode{level: level, outputReduced: a.OutputReduced()}
 
-	edges := make([]bool, nloops)
-	oldEdges := make([]bool, nloops)
+	var edgeBuf, oldEdgeBuf [maxLoops]bool
+	edges, oldEdges := edgeBuf[:nloops], oldEdgeBuf[:nloops]
 
 	record := func(adv int, cls []loopClass, occ int64) error {
 		for i, lc := range cls {
@@ -436,14 +436,8 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 	}
 
 	en := newCaseEnum(a)
-	if err := record(-1, en.start(), 1); err != nil {
-		return profNode{}, err
-	}
-	for adv := 0; adv < nloops; adv++ {
-		if loops[adv].Steps < 2 {
-			continue
-		}
-		if err := en.enumerate(adv, record); err != nil {
+	for en.next() {
+		if err := record(en.adv, en.classes(), en.occ); err != nil {
 			return profNode{}, err
 		}
 	}

@@ -179,7 +179,10 @@ func (sp *Spec) Level(i int, dims tensor.Sizes) (*Level, error) {
 		Index:       i,
 		SubClusters: sp.subClusters[i],
 		Dims:        dims,
-		FoldPos:     -1,
+		// Resolve rejects a dimension mapped twice, so explicit plus
+		// implicit maps fill exactly one slot per dimension.
+		Maps:    make([]ResolvedMap, 0, tensor.NumDims),
+		FoldPos: -1,
 	}
 	layer := sp.Layer
 

@@ -17,6 +17,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,8 @@ type Template struct {
 type Space struct {
 	Layer    tensor.Layer
 	Template Template
-	// PEs and BWs are the hardware axes (elements/cycle for bandwidth).
+	// PEs and BWs are the hardware axes (elements/cycle for bandwidth),
+	// each in any order.
 	PEs []int
 	BWs []float64
 	// L1Steps/L2Steps count the buffer-capacity grid the raw space spans:
@@ -258,9 +260,11 @@ func explorePEs(ctx context.Context, sp Space, pes int, gridPerMapping int64, ou
 	innerRaw := int64(len(sp.BWs)) * int64(len(sp.Template.P1)) *
 		int64(len(sp.Template.P2)) * gridPerMapping
 	// Skip-invalid bound: even with the smallest buffers and narrowest
-	// NoC, this PE count may already blow the budget.
-	minArea := sp.Cost.Area(pes, 0, 0, sp.BWs[0])
-	minPower := sp.Cost.Power(pes, 0, 0, sp.BWs[0])
+	// NoC, this PE count may already blow the budget. Area and power grow
+	// with bandwidth, so the narrowest NoC is the axis minimum.
+	narrowest := slices.Min(sp.BWs)
+	minArea := sp.Cost.Area(pes, 0, 0, narrowest)
+	minPower := sp.Cost.Power(pes, 0, 0, narrowest)
 	if minArea > sp.AreaBudgetMM2 || minPower > sp.PowerBudgetMW {
 		st.explored.Add(innerRaw)
 		return

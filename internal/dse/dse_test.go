@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -118,6 +119,33 @@ func TestSkipInvalidPruning(t *testing.T) {
 	}
 	if stats.Explored != stats.Raw {
 		t.Errorf("pruned sub-space not counted: explored %d raw %d", stats.Explored, stats.Raw)
+	}
+}
+
+// TestBandwidthAxisAnyOrder: the skip-invalid bound must use the
+// narrowest NoC on the axis, not its first entry. At 256 PEs a 128
+// elem/cycle bus alone exceeds the 450 mW budget while a 4 elem/cycle
+// bus fits, so an axis that starts wide must not prune the PE count.
+func TestBandwidthAxisAnyOrder(t *testing.T) {
+	sp := smallSpace()
+	sp.PEs = []int{64, 256, 512}
+	sp.BWs = []float64{4, 16, 64, 128}
+	want, wantStats := Explore(sp)
+	SortPoints(want)
+	if wantStats.Valid == 0 {
+		t.Fatal("ascending axis found no valid design")
+	}
+	for _, bws := range [][]float64{{128, 64, 16, 4}, {64, 4, 128, 16}} {
+		sp.BWs = bws
+		got, stats := Explore(sp)
+		SortPoints(got)
+		stats.Elapsed = wantStats.Elapsed
+		if stats != wantStats {
+			t.Errorf("BWs %v: stats %+v, ascending axis %+v", bws, stats, wantStats)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("BWs %v: %d points differ from the ascending axis's %d", bws, len(got), len(want))
+		}
 	}
 }
 

@@ -27,6 +27,33 @@ type Options struct {
 	Quick bool
 }
 
+// Experiment is one table or figure harness, named as on the
+// experiments command line.
+type Experiment struct {
+	Name string
+	Run  func(io.Writer, Options) error
+}
+
+// All lists every experiment in the order `experiments all` prints them,
+// which is the section order of the committed experiments_output.txt.
+var All = []Experiment{
+	{"table1", Table1},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"table5", Table5},
+	{"fig13", Fig13},
+	{"headline", Headline},
+	{"ablation", Ablations},
+}
+
+// Separator is the line `experiments all` prints, after a blank line,
+// between two experiments.
+const Separator = "================================================================"
+
 // analyzeOrSkip analyzes one layer under one dataflow; nil result means
 // the dataflow cannot map the layer (reported by the caller).
 func analyzeOrSkip(df dataflow.Dataflow, layer tensor.Layer, cfg hw.Config) *core.Result {

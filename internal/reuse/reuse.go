@@ -43,7 +43,7 @@ type Analysis struct {
 
 // New builds the analysis for a level.
 func New(lv *dataflow.Level, layer tensor.Layer) *Analysis {
-	a := &Analysis{Level: lv, Layer: layer}
+	a := &Analysis{Level: lv, Layer: layer, Loops: make([]Loop, 0, len(lv.Maps)+1)}
 	for i := range lv.Maps {
 		m := &lv.Maps[i]
 		if i == lv.FoldPos {
@@ -73,9 +73,13 @@ func New(lv *dataflow.Level, layer tensor.Layer) *Analysis {
 	}
 	a.outShiftY = outShift(spOf(tensor.Y), rOff, layer.StrideY)
 	a.outShiftX = outShift(spOf(tensor.X), sOff, layer.StrideX)
+	spatialDims := lv.SpatialDims()
 	for _, k := range tensor.AllKinds() {
 		dims := layer.TensorDims(k)
-		for _, d := range lv.SpatialDims().Dims() {
+		for d := tensor.Dim(0); d < tensor.NumDims; d++ {
+			if !spatialDims.Has(d) {
+				continue
+			}
 			switch {
 			case k == tensor.Output && (d == tensor.Y || d == tensor.R):
 				if a.outShiftY != 0 {
@@ -185,7 +189,7 @@ func (a *Analysis) Chunks(edges []bool, spatialEdge bool) tensor.Sizes {
 
 // SteadyChunks returns the chunk sizes with every loop at a steady chunk.
 func (a *Analysis) SteadyChunks() tensor.Sizes {
-	return a.Chunks(make([]bool, len(a.Loops)), false)
+	return a.Chunks(nil, false)
 }
 
 // axis is one independent extent of a tensor tile: per-sub-cluster and
@@ -196,9 +200,25 @@ type axis struct {
 	dims  tensor.DimSet
 }
 
+// axisList is a tensor tile's decomposition into independent axes, by
+// value: no tensor has more than four, so the per-case reuse queries
+// build it on the stack.
+type axisList struct {
+	ax [4]axis
+	n  int
+}
+
+func (l *axisList) add(ax axis) {
+	l.ax[l.n] = ax
+	l.n++
+}
+
+// list returns the populated axes.
+func (l *axisList) list() []axis { return l.ax[:l.n] }
+
 // axes decomposes tensor k's tile into independent axes for the given
 // chunk sizes and `active` sub-clusters.
-func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) []axis {
+func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) axisList {
 	direct := func(d tensor.Dim) axis {
 		c := int64(ch.Get(d))
 		u := c
@@ -231,36 +251,39 @@ func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) []axis {
 		}
 		return axis{perPE: o, union: u, dims: dims}
 	}
+	var axs axisList
 	switch k {
 	case tensor.Weight:
-		axs := []axis{direct(tensor.C), direct(tensor.R), direct(tensor.S)}
+		axs.add(direct(tensor.C))
+		axs.add(direct(tensor.R))
+		axs.add(direct(tensor.S))
 		if a.Layer.TensorDims(tensor.Weight).Has(tensor.K) {
-			axs = append(axs, direct(tensor.K))
+			axs.add(direct(tensor.K))
 		}
-		return axs
 	case tensor.Input:
-		return []axis{direct(tensor.N), direct(tensor.C), direct(tensor.Y), direct(tensor.X)}
+		axs.add(direct(tensor.N))
+		axs.add(direct(tensor.C))
+		axs.add(direct(tensor.Y))
+		axs.add(direct(tensor.X))
 	case tensor.Output:
-		axs := []axis{
-			direct(tensor.N),
-			outAxis(tensor.Y, tensor.R, a.Layer.StrideY, a.outShiftY, a.anchoredY),
-			outAxis(tensor.X, tensor.S, a.Layer.StrideX, a.outShiftX, a.anchoredX),
-		}
+		axs.add(direct(tensor.N))
+		axs.add(outAxis(tensor.Y, tensor.R, a.Layer.StrideY, a.outShiftY, a.anchoredY))
+		axs.add(outAxis(tensor.X, tensor.S, a.Layer.StrideX, a.outShiftX, a.anchoredX))
 		if a.Layer.TensorDims(tensor.Output).Has(tensor.K) {
-			axs = append(axs, direct(tensor.K))
+			axs.add(direct(tensor.K))
 		} else {
-			axs = append(axs, direct(tensor.C))
+			axs.add(direct(tensor.C))
 		}
-		return axs
 	}
-	return nil
+	return axs
 }
 
 // TileOf returns the per-sub-cluster tile size (elements) of tensor k for
 // the given chunk sizes.
 func (a *Analysis) TileOf(k tensor.Kind, ch tensor.Sizes) int64 {
+	axs := a.axes(k, ch, 1)
 	t := int64(1)
-	for _, ax := range a.axes(k, ch, 1) {
+	for _, ax := range axs.list() {
 		t *= ax.perPE
 	}
 	return t
@@ -273,8 +296,9 @@ func (a *Analysis) UnionTile(k tensor.Kind, ch tensor.Sizes, active int) int64 {
 	if active < 1 {
 		return 0
 	}
+	axs := a.axes(k, ch, active)
 	t := int64(1)
-	for _, ax := range a.axes(k, ch, active) {
+	for _, ax := range axs.list() {
 		t *= ax.union
 	}
 	return t
@@ -299,7 +323,7 @@ func (a *Analysis) NewData(k tensor.Kind, li int, ch tensor.Sizes, union bool, a
 	}
 	axs := a.axes(k, ch, n)
 	tile := int64(1)
-	for _, ax := range axs {
+	for _, ax := range axs.list() {
 		if union {
 			tile *= ax.union
 		} else {
@@ -323,7 +347,7 @@ func (a *Analysis) NewData(k tensor.Kind, li int, ch tensor.Sizes, union bool, a
 	}
 	d := lp.Map.Dim
 	shift := int64(a.shiftOf(k, d, lp.Map.Offset))
-	for _, ax := range axs {
+	for _, ax := range axs.list() {
 		if !ax.dims.Has(d) {
 			continue
 		}
