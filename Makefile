@@ -50,9 +50,11 @@ bench-dse:
 	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/
 
 # Fleet scaling: 1/2/4 in-process nodes with injected per-shard service
-# time; the measured numbers are recorded in BENCH_fleet.json.
+# time, then dispatch plus compute with nothing injected; the measured
+# numbers are recorded in BENCH_fleet.json.
 bench-fleet:
-	$(GO) test -bench BenchmarkFleetSweep -benchtime 3x -run xxx ./internal/fleet
+	$(GO) test -bench 'BenchmarkFleetSweep/^nodes=' -benchtime 3x -run xxx ./internal/fleet
+	$(GO) test -bench 'BenchmarkFleetSweep/^latency=0' -benchtime 200x -count 5 -run xxx ./internal/fleet
 
 # Crash-recovery soak: kill the coordinator mid-sweep and resume from
 # the journal, SOAK_N times in a row under the race detector. Any

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dse"
 	"repro/internal/serve"
 )
 
@@ -32,10 +33,51 @@ func benchReq() serve.DSERequest {
 	return req
 }
 
+// computeReq has the shape of the end-to-end fleet workload's DSE
+// sweeps: default PE and knob axes (12 (pe, p1) cells), four
+// bandwidths, and L1/L2 grids of 10 and 10 capacities.
+func computeReq() serve.DSERequest {
+	return serve.DSERequest{
+		Layer:    serve.LayerSpec{Model: "VGG16", Name: "CONV11"},
+		Template: "KC-P",
+		BWs:      []float64{8, 16, 32, 64},
+		L1Grid:   dse.DefaultGrid(64, 1<<15, 2),
+		L2Grid:   dse.DefaultGrid(1<<12, 1<<21, 2),
+	}
+}
+
 // BenchmarkFleetSweep sweeps the same space through 1, 2, and 4
 // in-process nodes with a fixed 32-shard partition and reports merged
-// designs per wall-clock second.
+// designs per wall-clock second. Its latency=0 case injects nothing: two
+// nodes, one request in flight per node and the default shard count run
+// the end-to-end fleet workload's sweep shape, so ns/op is coordinator
+// dispatch plus node compute (profiles warm, result cache bypassed).
 func BenchmarkFleetSweep(b *testing.B) {
+	b.Run("latency=0,nodes=2", func(b *testing.B) {
+		hosts, _, hc := newNodes(b, 2)
+		opts := fastFleet(hosts, hc)
+		opts.ShardsPerNode = 0 // the default
+		f, err := New(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		req := computeReq()
+		req.NoCache = true
+		if _, err := f.Sweep(context.Background(), req); err != nil {
+			b.Fatal(err) // warm the profile cache
+		}
+		b.ResetTimer()
+		var shards int
+		for i := 0; i < b.N; i++ {
+			res, err := f.Sweep(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			shards += res.Shards
+		}
+		b.ReportMetric(float64(shards)/float64(b.N), "shards/op")
+	})
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			hosts, servers, hc := newNodes(b, n)

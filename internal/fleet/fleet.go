@@ -27,13 +27,15 @@ type Options struct {
 	// with each host. The zero value uses the client defaults.
 	Client client.Options
 	// ShardsPerNode sets the target shard count as a multiple of the
-	// host count (default 4). More shards mean finer re-dispatch and
-	// steal granularity at the cost of per-request overhead; the target
-	// is raised automatically when the raw space would otherwise exceed
-	// a server's MaxDSEGrid cap per shard.
+	// host count (default InflightPerNode: one shard per dispatch slot).
+	// More shards mean finer re-dispatch and steal granularity at the
+	// cost of per-request overhead; the target is raised automatically
+	// when the raw space would otherwise exceed a server's MaxDSEGrid
+	// cap per shard.
 	ShardsPerNode int
-	// InflightPerNode caps concurrent shard requests per node
-	// (default 2).
+	// InflightPerNode caps one sweep's concurrent shard requests per
+	// node (default 2). The slots belong to the sweep, so concurrent
+	// sweeps each get their own.
 	InflightPerNode int
 	// Rounds bounds how many times a shard may walk the whole ring
 	// before the sweep fails (default 3). Each failover within a round
@@ -73,11 +75,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ShardsPerNode <= 0 {
-		o.ShardsPerNode = 4
-	}
 	if o.InflightPerNode <= 0 {
 		o.InflightPerNode = 2
+	}
+	if o.ShardsPerNode <= 0 {
+		o.ShardsPerNode = o.InflightPerNode
 	}
 	if o.Rounds <= 0 {
 		o.Rounds = 3
@@ -318,7 +320,7 @@ type sweep struct {
 	opts   Options
 	ctx    context.Context
 	cancel context.CancelFunc
-	sem    map[string]chan struct{}
+	sem    hostSlots
 	shards []*shardRun
 	jnl    *journal // nil when checkpointing is off
 	wg     sync.WaitGroup
@@ -380,7 +382,7 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 	sw := &sweep{
 		f:      f,
 		opts:   f.opts,
-		sem:    make(map[string]chan struct{}, len(f.opts.Hosts)),
+		sem:    newHostSlots(f.opts.Hosts, f.opts.InflightPerNode),
 		shards: runs,
 		jnl:    jnl,
 		doneCh: make(chan struct{}),
@@ -388,9 +390,6 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 	}
 	sw.ctx, sw.cancel = context.WithCancel(ctx)
 	defer sw.cancel()
-	for _, h := range f.opts.Hosts {
-		sw.sem[h] = make(chan struct{}, f.opts.InflightPerNode)
-	}
 	for _, sr := range runs {
 		sr.ctx, sr.cancel = context.WithCancel(sw.ctx)
 	}
@@ -473,7 +472,9 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 // P1 axes are sorted and deduplicated first so contiguous index chunks
 // are contiguous value ranges — which is what the shard descriptor's
 // [PEMin, PEMax] expresses — and so repeat sweeps produce byte-equal
-// shard requests that hit the nodes' result caches.
+// shard requests that hit the nodes' result caches. Routes come from
+// ring.placeBounded, so no node holds more than its even share of the
+// sweep's shards.
 func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 	layer, err := serve.ResolveLayerSpec(req.Layer)
 	if err != nil {
@@ -500,8 +501,13 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 	if len(shards) == 0 {
 		return nil, layer, errors.New("fleet: empty design space")
 	}
+	keys := make([]serve.Key, len(shards))
+	for i, sh := range shards {
+		keys[i] = serve.DSERouteKey(layer, req.Template, sh.PEs)
+	}
+	routes := f.ring.placeBounded(keys)
 	runs := make([]*shardRun, 0, len(shards))
-	for _, sh := range shards {
+	for i, sh := range shards {
 		sreq := req
 		sreq.P1 = sh.P1
 		// Untruncated shard fronts: the global front is a subset of the
@@ -525,13 +531,39 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 		runs = append(runs, &shardRun{
 			shard: sh,
 			req:   sreq,
-			route: f.ring.order(serve.DSERouteKey(layer, req.Template, sh.PEs)),
+			route: routes[i],
 			hash:  hash,
 			live:  make(map[int]liveAttempt, 2),
 		})
 	}
 	return runs, layer, nil
 }
+
+// hostSlots caps one sweep's concurrent requests per host at
+// InflightPerNode. Every sweep (DSE or fusion) makes its own.
+type hostSlots map[string]chan struct{}
+
+func newHostSlots(hosts []string, n int) hostSlots {
+	s := make(hostSlots, len(hosts))
+	for _, h := range hosts {
+		s[h] = make(chan struct{}, n)
+	}
+	return s
+}
+
+// acquire waits for a free slot on host; false means ctx ended first.
+func (s hostSlots) acquire(ctx context.Context, host string) bool {
+	select {
+	case s[host] <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+func (s hostSlots) release(host string) { <-s[host] }
+
+func (s hostSlots) full(host string) bool { return len(s[host]) >= cap(s[host]) }
 
 // runShard walks the shard's failover route until a result is accepted
 // or the attempt budget runs out.
@@ -596,12 +628,10 @@ func (sr *shardRun) nextHost(f *Fleet) (host string, wrapped bool) {
 // accepted result. A nil return means the shard is settled (success or
 // superseded), not necessarily that this attempt's response won.
 func (sw *sweep) attempt(sr *shardRun, host string, stolen bool) error {
-	select {
-	case sw.sem[host] <- struct{}{}:
-	case <-sr.ctx.Done():
+	if !sw.sem.acquire(sr.ctx, host) {
 		return nil
 	}
-	defer func() { <-sw.sem[host] }()
+	defer sw.sem.release(host)
 
 	sr.mu.Lock()
 	id := sr.nextID
@@ -823,7 +853,7 @@ func (sw *sweep) stragglerTarget(sr *shardRun, now time.Time, cut time.Duration)
 		if !sw.f.routable(h) {
 			continue
 		}
-		if len(sw.sem[h]) >= cap(sw.sem[h]) {
+		if sw.sem.full(h) {
 			continue
 		}
 		sr.stole = true

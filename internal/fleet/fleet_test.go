@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +18,10 @@ import (
 	"repro/internal/dataflows"
 	"repro/internal/dse"
 	"repro/internal/hw"
+	"repro/internal/models"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/tensor"
 )
 
 // The integration tests run real serve.Servers behind stable host
@@ -418,6 +421,80 @@ func TestRingProperties(t *testing.T) {
 	}
 	if moved == 0 || kept == 0 {
 		t.Fatalf("degenerate spread: moved=%d kept=%d", moved, kept)
+	}
+}
+
+// zooConvs picks n conv layers at a fixed stride through the zoo.
+func zooConvs(n int) []serve.LayerSpec {
+	var all []serve.LayerSpec
+	for _, name := range models.Zoo() {
+		m, _ := models.ByName(name)
+		for _, li := range m.Layers {
+			if li.Layer.Op == tensor.Conv2D || li.Layer.Op == tensor.PointwiseConv {
+				all = append(all, serve.LayerSpec{Model: name, Name: li.Layer.Name})
+			}
+		}
+	}
+	out := make([]serve.LayerSpec, n)
+	for i := range out {
+		out[i] = all[i*len(all)/n]
+	}
+	return out
+}
+
+// TestPlanBoundedLoad pins bounded-load placement over fixed host
+// names (nothing listens on them; plan only hashes them): no host holds
+// more than ⌈shards/hosts⌉ of a sweep's shards, plans are reproducible,
+// every route is a failover order over all hosts, and a shard leaves
+// its ring primary only when the primary is already full.
+func TestPlanBoundedLoad(t *testing.T) {
+	pool := []string{"http://127.0.0.1:18081", "http://127.0.0.1:18082",
+		"http://127.0.0.1:18083", "http://127.0.0.1:18084"}
+	layers := zooConvs(12)
+	for n := 2; n <= len(pool); n++ {
+		hosts := pool[:n]
+		sorted := append([]string(nil), hosts...)
+		sort.Strings(sorted)
+		for _, spn := range []int{1, 2, 4} {
+			f, err := New(Options{Hosts: hosts, ShardsPerNode: spn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ls := range layers {
+				for _, tmpl := range []string{"KC-P", "YR-P", "YX-P"} {
+					req := serve.DSERequest{Layer: ls, Template: tmpl}
+					name := fmt.Sprintf("%d hosts, %d/node, %s %s %s", n, spn, ls.Model, ls.Name, tmpl)
+					runs, layer, err := f.plan(req)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					again, _, err := f.plan(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					limit := (len(runs) + n - 1) / n
+					load := map[string]int{}
+					for i, sr := range runs {
+						if !reflect.DeepEqual(sr.route, again[i].route) {
+							t.Fatalf("%s: shard %d routes differ between plans: %v vs %v", name, i, sr.route, again[i].route)
+						}
+						got := append([]string(nil), sr.route...)
+						sort.Strings(got)
+						if !reflect.DeepEqual(got, sorted) {
+							t.Fatalf("%s: shard %d route %v is not a permutation of %v", name, i, sr.route, hosts)
+						}
+						primary := f.ring.order(serve.DSERouteKey(layer, tmpl, sr.shard.PEs))[0]
+						if sr.route[0] != primary && load[primary] < limit {
+							t.Fatalf("%s: shard %d left primary %s holding %d < %d shards", name, i, primary, load[primary], limit)
+						}
+						if load[sr.route[0]]++; load[sr.route[0]] > limit {
+							t.Fatalf("%s: %s holds %d of %d shards, over ⌈shards/hosts⌉ = %d", name, sr.route[0], load[sr.route[0]], len(runs), limit)
+						}
+					}
+				}
+			}
+			f.Close()
+		}
 	}
 }
 

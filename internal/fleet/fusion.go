@@ -80,6 +80,7 @@ func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*Fusi
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	slots := newHostSlots(f.opts.Hosts, f.opts.InflightPerNode)
 
 	var (
 		mu            sync.Mutex
@@ -135,7 +136,7 @@ func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*Fusi
 		wg.Add(1)
 		go func(i int, sreq serve.FusionRequest, hash string) {
 			defer wg.Done()
-			resp, host, retries, err := f.dispatchFusion(ctx, i, sreq)
+			resp, host, retries, err := f.dispatchFusion(ctx, slots, i, sreq)
 			mu.Lock()
 			defer mu.Unlock()
 			redispatched += retries
@@ -205,12 +206,14 @@ func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*Fusi
 
 // dispatchFusion walks the ring from the shard's home node until a
 // node accepts, retrying up to Rounds full wraps with a backoff
-// between wraps. Hosts the health prober marks unroutable fall to the
+// between wraps. Each attempt holds one of the sweep's slots on its
+// host, so a node serves at most InflightPerNode of the sweep's chunks
+// at once. Hosts the health prober marks unroutable fall to the
 // back of each wrap's order — still tried as a last resort so a sweep
 // survives a universally-unhealthy reading, but never preferred over a
 // live node. Returns the accepted response, the host that produced it,
 // and the number of failed attempts that preceded it.
-func (f *Fleet) dispatchFusion(ctx context.Context, shard int, req serve.FusionRequest) (*serve.FusionResponse, string, int64, error) {
+func (f *Fleet) dispatchFusion(ctx context.Context, slots hostSlots, shard int, req serve.FusionRequest) (*serve.FusionResponse, string, int64, error) {
 	hosts := f.opts.Hosts
 	var retries int64
 	var lastErr error
@@ -227,10 +230,11 @@ func (f *Fleet) dispatchFusion(ctx context.Context, shard int, req serve.FusionR
 		}
 		order = append(order, unhealthy...)
 		for _, host := range order {
-			if err := ctx.Err(); err != nil {
-				return nil, "", retries, err
+			if err := ctx.Err(); err != nil || !slots.acquire(ctx, host) {
+				return nil, "", retries, ctx.Err()
 			}
 			resp, err := f.clients[host].Fusion(ctx, req)
+			slots.release(host)
 			f.mu.Lock()
 			ns := f.perNode[host]
 			if err != nil {

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dse"
@@ -77,6 +80,92 @@ func TestSweepFusionMatchesLocal(t *testing.T) {
 	}
 	if st := f.Stats(); st.Sweeps != 1 || st.Shards != int64(res.Shards) {
 		t.Fatalf("fleet stats %+v after one sweep of %d shards", st, res.Shards)
+	}
+}
+
+// inflightTransport records, per host, the most /v1/fusion exchanges
+// in flight at once: an exchange counts from the request until its
+// response body is closed.
+type inflightTransport struct {
+	next http.RoundTripper
+
+	mu        sync.Mutex
+	cur, peak map[string]int
+	requests  int
+}
+
+func (it *inflightTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/v1/fusion" {
+		return it.next.RoundTrip(req)
+	}
+	host := req.URL.Host
+	it.mu.Lock()
+	it.requests++
+	it.cur[host]++
+	it.peak[host] = max(it.peak[host], it.cur[host])
+	it.mu.Unlock()
+	done := func() {
+		it.mu.Lock()
+		it.cur[host]--
+		it.mu.Unlock()
+	}
+	resp, err := it.next.RoundTrip(req)
+	if err != nil {
+		done()
+		return nil, err
+	}
+	resp.Body = closeHook{resp.Body, done}
+	return resp, nil
+}
+
+type closeHook struct {
+	io.ReadCloser
+	done func()
+}
+
+func (c closeHook) Close() error {
+	err := c.ReadCloser.Close()
+	c.done()
+	return err
+}
+
+// TestSweepFusionInflightPerNode checks that SweepFusion honours
+// InflightPerNode: an eight-budget grid cut into eight chunks over two
+// nodes never has two of the sweep's requests on one node at once, and
+// the merged plane is still the local one.
+func TestSweepFusionInflightPerNode(t *testing.T) {
+	hosts, _, hc := newNodes(t, 2)
+	it := &inflightTransport{next: hc.Transport, cur: map[string]int{}, peak: map[string]int{}}
+	opts := fastFleet(hosts, &http.Client{Transport: it})
+	opts.InflightPerNode = 1
+	opts.ShardsPerNode = 4
+	f, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	req := fusionFleetReq()
+	req.L2Grid = nil
+	for i := 0; i < 8; i++ {
+		req.L2Grid = append(req.L2Grid, int64(32<<10)<<(i/2)+int64(i%2)*(16<<10))
+	}
+	res, err := f.SweepFusion(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Points, fusionTruth(t, req)) {
+		t.Fatal("distributed points diverge from local truth")
+	}
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if res.Shards != 8 || it.requests != 8 || len(it.peak) != len(hosts) {
+		t.Fatalf("sweep sent %d requests to %d nodes for %d chunks, want 8 to %d", it.requests, len(it.peak), res.Shards, len(hosts))
+	}
+	for h, peak := range it.peak {
+		if peak > 1 {
+			t.Errorf("%s served %d fusion requests at once, over InflightPerNode 1", h, peak)
+		}
 	}
 }
 

@@ -5,9 +5,11 @@
 //
 // Routing is deterministic: shards hash onto a consistent ring over the
 // node set keyed by the canonical (layer, template, PE subset) triple —
-// the same key family the servers' profile caches are warmed by — so a
-// repeated or follow-up sweep lands each shard on the node that already
-// holds its cluster walks. Node loss is survived by walking the ring:
+// the same key family the servers' profile caches are warmed by — and
+// are placed with bounded loads, so no node takes more than its even
+// share of a sweep while a repeated or follow-up sweep lands each shard
+// on the node that already holds its cluster walks. Node loss is
+// survived by walking the ring:
 // shards stranded behind a tripped circuit breaker re-dispatch to the
 // next healthy node, with at-most-once result accounting, and a
 // straggler watchdog steals the slowest shard onto an idle node when
@@ -62,9 +64,9 @@ func newRing(hosts []string) *ring {
 }
 
 // order returns every host exactly once, in ring-walk order starting at
-// the key's position: the first entry is the shard's preferred node,
-// and the rest are its failover sequence. The order depends only on the
-// host set and the key, so re-dispatch decisions are reproducible.
+// the key's position: the first entry is the key's ring primary.
+// placeBounded builds shard routes from it. The order depends only on
+// the host set and the key, so re-dispatch decisions are reproducible.
 func (r *ring) order(key serve.Key) []string {
 	start := sort.Search(len(r.vnodes), func(i int) bool {
 		return r.vnodes[i].hash >= binary.BigEndian.Uint64(key[:8])
@@ -79,4 +81,30 @@ func (r *ring) order(key serve.Key) []string {
 		}
 	}
 	return out
+}
+
+// placeBounded routes keys, in order, with bounded loads (Mirrokni,
+// Thorup and Zadimoghaddam, "Consistent Hashing with Bounded Loads",
+// SODA 2018): each key goes to the first host on its walk that holds
+// fewer than ⌈keys/hosts⌉ of the keys placed before it, and its
+// failover route is that host followed by the rest of the walk. A key
+// leaves its ring primary only when the primary is full, and the
+// routes depend only on the host set and the keys.
+func (r *ring) placeBounded(keys []serve.Key) [][]string {
+	limit := (len(keys) + len(r.hosts) - 1) / len(r.hosts)
+	load := make(map[string]int, len(r.hosts))
+	routes := make([][]string, len(keys))
+	for k, key := range keys {
+		walk := r.order(key)
+		i := 0
+		for load[walk[i]] >= limit {
+			i++ // some host is below the limit: fewer than hosts×limit keys are placed
+		}
+		h := walk[i]
+		copy(walk[1:i+1], walk[:i]) // move h to the front
+		walk[0] = h
+		routes[k] = walk
+		load[h]++
+	}
+	return routes
 }

@@ -304,7 +304,12 @@ func runDSE(req DSERequest, sp dse.Space) *DSEResponse {
 	if topK <= 0 {
 		topK = 32
 	}
-	for _, p := range dse.Pareto(points) {
+	// Explore appends its workers' points in completion order, and
+	// Pareto keeps input order: sort the front so the answer and its
+	// top-k cut are the same on every run.
+	front := dse.Pareto(points)
+	dse.SortPoints(front)
+	for _, p := range front {
 		if len(resp.Pareto) >= topK {
 			break
 		}
