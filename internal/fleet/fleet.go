@@ -28,10 +28,11 @@ type Options struct {
 	Client client.Options
 	// ShardsPerNode sets the target shard count as a multiple of the
 	// host count (default InflightPerNode: one shard per dispatch slot).
-	// More shards mean finer re-dispatch and steal granularity at the
-	// cost of per-request overhead; the target is raised automatically
-	// when the raw space would otherwise exceed a server's MaxDSEGrid
-	// cap per shard.
+	// More shards mean finer re-dispatch, steal and crash-resume
+	// granularity at the cost of per-request overhead; the target is
+	// raised automatically until no shard exceeds a server's
+	// MaxDSEGrid cap. A different value can cut a sweep differently,
+	// and then a journal written under the old value does not replay.
 	ShardsPerNode int
 	// InflightPerNode caps one sweep's concurrent shard requests per
 	// node (default 2). The slots belong to the sweep, so concurrent
@@ -467,8 +468,8 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 
 // plan fills the request's defaults, partitions the design space, and
 // computes each shard's scoped request and failover route. The target
-// shard count is ShardsPerNode per host, raised when the raw space
-// would otherwise exceed a server's per-request cap per shard. PE and
+// shard count is ShardsPerNode per host, raised until no shard exceeds
+// a server's per-request cap on raw designs. PE and
 // P1 axes are sorted and deduplicated first so contiguous index chunks
 // are contiguous value ranges — which is what the shard descriptor's
 // [PEMin, PEMax] expresses — and so repeat sweeps produce byte-equal
@@ -500,6 +501,13 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 	shards := dse.Partition(req.PEs, p1, target)
 	if len(shards) == 0 {
 		return nil, layer, errors.New("fleet: empty design space")
+	}
+	// Partition splits whole PE counts first, so its chunks can be
+	// uneven and the largest can still exceed the cap; single-cell
+	// shards always fit, given the inner check above.
+	for overCap(shards, inner) {
+		target++
+		shards = dse.Partition(req.PEs, p1, target)
 	}
 	keys := make([]serve.Key, len(shards))
 	for i, sh := range shards {
@@ -537,6 +545,17 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 		})
 	}
 	return runs, layer, nil
+}
+
+// overCap reports whether some shard spans more raw designs than a
+// server's per-request cap, given inner raw designs per (pe, p1) cell.
+func overCap(shards []dse.Shard, inner int64) bool {
+	for _, sh := range shards {
+		if inner*int64(len(sh.PEs)*len(sh.P1)) > serve.MaxDSEGrid {
+			return true
+		}
+	}
+	return false
 }
 
 // hostSlots caps one sweep's concurrent requests per host at

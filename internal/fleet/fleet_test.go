@@ -343,8 +343,9 @@ func TestSweepAllNodesDownFails(t *testing.T) {
 }
 
 // TestSweepShardsHugeSpaceUnderCap checks the coordinator raises the
-// shard count so each shard clears a server's raw-size cap, and that a
-// space too large even at single-cell granularity is refused locally.
+// shard count so each shard, the largest of an uneven split included,
+// clears a server's raw-size cap, and that a space too large even at
+// single-cell granularity is refused locally.
 func TestSweepShardsHugeSpaceUnderCap(t *testing.T) {
 	hosts, _, hc := newNodes(t, 1)
 	f, err := New(fastFleet(hosts, hc))
@@ -371,6 +372,26 @@ func TestSweepShardsHugeSpaceUnderCap(t *testing.T) {
 	for _, sr := range runs {
 		if raw := inner * int64(len(sr.shard.PEs)*len(sr.shard.P1)); raw > serve.MaxDSEGrid {
 			t.Fatalf("shard %d spans %d raw designs, over cap %d", sr.shard.Index, raw, serve.MaxDSEGrid)
+		}
+	}
+
+	// maestro-dse's full KC-P grids: 64 PE counts do not split evenly
+	// into ⌈raw/cap⌉ = 24 shards, so the raise must go on until the
+	// largest shard fits, not just the average one.
+	big.BWs = nil
+	for b := 1.0; b <= 128; b *= 2 {
+		big.BWs = append(big.BWs, b, b*1.5)
+	}
+	big.L1Grid = dse.DefaultGrid(64, 1<<20, 1.45)
+	big.L2Grid = dse.DefaultGrid(1<<12, 1<<24, 1.4)
+	if runs, _, err = f.plan(big); err != nil {
+		t.Fatal(err)
+	}
+	inner = int64(len(big.P2) * len(big.BWs) * len(big.L1Grid) * len(big.L2Grid))
+	for _, sr := range runs {
+		if raw := inner * int64(len(sr.shard.PEs)*len(sr.shard.P1)); raw > serve.MaxDSEGrid {
+			t.Fatalf("maestro-dse grids: shard %d of %d spans %d raw designs, over cap %d",
+				sr.shard.Index, len(runs), raw, serve.MaxDSEGrid)
 		}
 	}
 
