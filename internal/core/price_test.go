@@ -376,49 +376,6 @@ func TestPriceSharedProfileConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestProfileCacheHammer exercises the shared cache under contention:
-// many goroutines requesting a handful of keys through a deliberately
-// tiny cache, forcing hits, misses, singleflight coalescing and
-// evictions to interleave. Run with -race.
-func TestProfileCacheHammer(t *testing.T) {
-	const pes = 64
-	cache := NewProfileCache(3)
-	dfs := dataflows.All()
-	layers := equivLayers(t)
-	cfg := testHW(pes)
-	cfg.NumPEs = pes
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				df := dfs[(w+i)%len(dfs)]
-				layer := layers[(w*3+i)%len(layers)]
-				prof, _, err := cache.ProfileDataflow(df, layer, pes)
-				if err != nil {
-					continue // some mappings don't resolve for some shapes
-				}
-				if prof.NumPEs() != pes {
-					t.Errorf("profile bound to %d PEs, want %d", prof.NumPEs(), pes)
-					return
-				}
-				if _, err := prof.Price(cfg); err != nil {
-					t.Errorf("price: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if cache.Misses() == 0 {
-		t.Fatal("expected cache misses")
-	}
-	if cache.Len() > 3+profileShards { // per-shard rounding allows slight overshoot
-		t.Fatalf("cache grew past capacity: %d", cache.Len())
-	}
-}
-
 // keyInput is one (dataflow, layer, numPEs) triple of the keying tests.
 type keyInput struct {
 	df    dataflow.Dataflow

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataflow"
 	"repro/internal/hw"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -122,39 +119,15 @@ func ProfileKeyFor(df dataflow.Dataflow, layer tensor.Layer, numPEs int) Profile
 	return profileKey(df, layer, numPEs)
 }
 
-const profileShards = 16
-
-// ProfileCache is a sharded LRU of LayerProfiles with a singleflight
-// layer, mirroring internal/serve's result cache: concurrent requests
-// for the same (dataflow, layer, numPEs) triple profile once and share
-// the immutable result. Profiles are safe to Price concurrently, so one
-// cached entry serves any number of hardware points at once.
+// ProfileCache is the shared cache of LayerProfiles: the sharded LRU
+// with a singleflight layer of internal/lru, keyed by profile identity,
+// so concurrent requests for one (dataflow, layer, numPEs) triple
+// profile once and share the immutable result. Profiles are safe to
+// Price concurrently, so one cached entry serves any number of hardware
+// points at once. Hits, Misses, Coalesced, Evictions and Len come from
+// the embedded cache.
 type ProfileCache struct {
-	shards [profileShards]*profileShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	evictions atomic.Int64
-}
-
-type profileShard struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used
-	items    map[ProfileKey]*list.Element
-	inflight map[ProfileKey]*profileCall
-}
-
-type profileEntry struct {
-	key ProfileKey
-	val *LayerProfile
-}
-
-type profileCall struct {
-	done chan struct{}
-	val  *LayerProfile
-	err  error
+	*lru.Cache[ProfileKey, *LayerProfile]
 }
 
 // DefaultProfileCache is the package-level cache shared by the tuner and
@@ -166,32 +139,14 @@ var DefaultProfileCache = NewProfileCache(4096)
 // its shards. A non-positive capacity disables storage (every request
 // profiles; singleflight still coalesces concurrent duplicates).
 func NewProfileCache(capacity int) *ProfileCache {
-	c := &ProfileCache{}
-	per := capacity / profileShards
-	if capacity > 0 && per == 0 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &profileShard{
-			capacity: per,
-			order:    list.New(),
-			items:    map[ProfileKey]*list.Element{},
-			inflight: map[ProfileKey]*profileCall{},
-		}
-	}
-	return c
-}
-
-func (c *ProfileCache) shardFor(k ProfileKey) *profileShard {
-	return c.shards[k[0]%profileShards]
+	return &ProfileCache{lru.New[ProfileKey, *LayerProfile](capacity)}
 }
 
 // ProfileDataflow returns the profile for (df, layer, numPEs), resolving
 // and profiling on a miss with at most one walk across concurrent
 // callers. The second return reports whether the profile came from the
-// LRU (callers that joined an in-flight computation report false, like
-// the serve cache's Do). Errors (e.g. an unresolvable mapping) are not
-// cached.
+// LRU (callers that joined an in-flight computation report false).
+// Errors (e.g. an unresolvable mapping) are not cached.
 func (c *ProfileCache) ProfileDataflow(df dataflow.Dataflow, layer tensor.Layer, numPEs int) (*LayerProfile, bool, error) {
 	return c.ProfileDataflowCtx(context.Background(), df, layer, numPEs)
 }
@@ -202,80 +157,24 @@ func (c *ProfileCache) ProfileDataflow(df dataflow.Dataflow, layer tensor.Layer,
 // span, so a trace shows exactly which requests paid for profiling and
 // which rode the cache.
 func (c *ProfileCache) ProfileDataflowCtx(ctx context.Context, df dataflow.Dataflow, layer tensor.Layer, numPEs int) (*LayerProfile, bool, error) {
-	k := profileKey(df, layer, numPEs)
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		c.hits.Add(1)
-		obs.SpanFrom(ctx).Event("profile_cache.hit")
-		return el.Value.(*profileEntry).val, true, nil
-	}
-	if cl, ok := s.inflight[k]; ok {
-		s.mu.Unlock()
-		c.coalesced.Add(1)
+	p, cached, err := c.Do(profileKey(df, layer, numPEs), func() (*LayerProfile, error) {
+		obs.SpanFrom(ctx).Event("profile_cache.miss")
+		spec, err := dataflow.Resolve(df, layer, numPEs)
+		if err != nil {
+			return nil, err
+		}
+		return ProfileCtx(ctx, spec)
+	}, func(block func()) {
 		_, wait := obs.Start(ctx, "core.profilecache.wait")
-		<-cl.done
+		block()
 		wait.End()
 		obs.SpanFrom(ctx).Event("profile_cache.coalesced")
-		return cl.val, false, cl.err
+	})
+	if cached {
+		obs.SpanFrom(ctx).Event("profile_cache.hit")
 	}
-	cl := &profileCall{done: make(chan struct{})}
-	s.inflight[k] = cl
-	s.mu.Unlock()
-	c.misses.Add(1)
-	obs.SpanFrom(ctx).Event("profile_cache.miss")
-
-	finished := false
-	defer func() {
-		if !finished { // profiling panicked: release waiters before unwinding
-			cl.err = fmt.Errorf("core: profile computation panicked")
-			c.finish(s, k, cl, false)
-		}
-	}()
-	var spec *dataflow.Spec
-	spec, cl.err = dataflow.Resolve(df, layer, numPEs)
-	if cl.err == nil {
-		cl.val, cl.err = ProfileCtx(ctx, spec)
-	}
-	finished = true
-	c.finish(s, k, cl, cl.err == nil)
-	return cl.val, false, cl.err
+	return p, cached, err
 }
-
-func (c *ProfileCache) finish(s *profileShard, k ProfileKey, cl *profileCall, store bool) {
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if store && s.capacity > 0 {
-		s.items[k] = s.order.PushFront(&profileEntry{key: k, val: cl.val})
-		for s.order.Len() > s.capacity {
-			last := s.order.Back()
-			s.order.Remove(last)
-			delete(s.items, last.Value.(*profileEntry).key)
-			c.evictions.Add(1)
-		}
-	}
-	s.mu.Unlock()
-	close(cl.done)
-}
-
-// Len returns the number of cached profiles.
-func (c *ProfileCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Hits, Misses, Coalesced and Evictions expose the cache counters.
-func (c *ProfileCache) Hits() int64      { return c.hits.Load() }
-func (c *ProfileCache) Misses() int64    { return c.misses.Load() }
-func (c *ProfileCache) Coalesced() int64 { return c.coalesced.Load() }
-func (c *ProfileCache) Evictions() int64 { return c.evictions.Load() }
 
 // ProfileDataflow resolves and profiles through the package-level cache.
 func ProfileDataflow(df dataflow.Dataflow, layer tensor.Layer, numPEs int) (*LayerProfile, error) {

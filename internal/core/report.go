@@ -45,6 +45,10 @@ type Result struct {
 	PeakBW []float64
 
 	DRAMReads, DRAMWrites int64
+	// DRAMTensorReads splits DRAMReads by tensor; its output term is the
+	// partial sums that overflow L2 and bounce off DRAM. DRAMWrites is
+	// all output.
+	DRAMTensorReads TensorCounts
 	// EffectiveL2 is the shared-scratchpad capacity the DRAM model was
 	// evaluated against (the configured size, or the requirement when the
 	// configuration left it zero).
@@ -107,11 +111,13 @@ func (r *Result) applyL2(l2 int64) {
 		l2 = req
 	}
 	r.EffectiveL2 = l2
+	var reads TensorCounts
 	if l2 < req {
 		// The staging tiles themselves do not fit: every L2-level access
 		// spills off-chip.
 		r.L2Spill = true
-		r.DRAMReads = r.BufRead[0][tensor.Input] + r.BufRead[0][tensor.Weight]
+		reads[tensor.Input] = r.BufRead[0][tensor.Input]
+		reads[tensor.Weight] = r.BufRead[0][tensor.Weight]
 		r.DRAMWrites = r.BufWrite[0][tensor.Output]
 	} else {
 		r.L2Spill = false
@@ -147,12 +153,11 @@ func (r *Result) applyL2(l2 int64) {
 				spare -= c.bytes
 			}
 		}
-		r.DRAMReads, r.DRAMWrites = 0, 0
 		for _, k := range []tensor.Kind{tensor.Input, tensor.Weight} {
 			if retained[k] || r.BufRead[0][k] < sizes[k] {
-				r.DRAMReads += sizes[k]
+				reads[k] = sizes[k]
 			} else {
-				r.DRAMReads += r.BufRead[0][k]
+				reads[k] = r.BufRead[0][k]
 			}
 		}
 		outSize := sizes[tensor.Output]
@@ -161,9 +166,11 @@ func (r *Result) applyL2(l2 int64) {
 		} else {
 			// Partial sums that overflow L2 bounce off DRAM.
 			r.DRAMWrites = r.BufWrite[0][tensor.Output]
-			r.DRAMReads += r.BufRead[0][tensor.Output]
+			reads[tensor.Output] = r.BufRead[0][tensor.Output]
 		}
 	}
+	r.DRAMTensorReads = reads
+	r.DRAMReads = reads.Sum()
 	dramDelay := int64(float64(r.DRAMReads+r.DRAMWrites)/r.Cfg.OffchipBandwidth + 0.999999)
 	r.Runtime = r.OnChipRuntime
 	r.Bottleneck = "compute"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/url"
 	"sort"
 	"strings"
@@ -606,16 +607,36 @@ func (sw *sweep) runShard(sr *shardRun) {
 		if err == nil || sr.ctx.Err() != nil {
 			return
 		}
+		if refused(err) {
+			sw.failed(fmt.Errorf("fleet: shard %d/%d refused by %s: %w",
+				sr.shard.Index, sr.shard.Of, host, err))
+			return
+		}
 		lastErr = err
 		sw.noteRedispatch(sr, host, err)
 	}
+	sw.failed(fmt.Errorf("fleet: shard %d/%d failed after %d attempts: %w",
+		sr.shard.Index, sr.shard.Of, budget, lastErr))
+}
+
+// failed ends the sweep with err; the first failure wins.
+func (sw *sweep) failed(err error) {
 	sw.fail.Do(func() {
 		sw.mu.Lock()
-		sw.err = fmt.Errorf("fleet: shard %d/%d failed after %d attempts: %w",
-			sr.shard.Index, sr.shard.Of, budget, lastErr)
+		sw.err = err
 		sw.mu.Unlock()
 		close(sw.failCh)
 	})
+}
+
+// refused reports a node's hard refusal: a 4xx other than 408 and 429
+// is the request's fault, not the node's, so every node would refuse it
+// the same way and the sweep fails at once. 408 and 429 stay retryable:
+// another node may have capacity.
+func refused(err error) bool {
+	var apiErr *client.APIError
+	return errors.As(err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 &&
+		apiErr.Status != http.StatusRequestTimeout && apiErr.Status != http.StatusTooManyRequests
 }
 
 // nextHost advances the shard's route cursor, preferring hosts whose

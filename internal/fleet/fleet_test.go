@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,6 +341,65 @@ func TestSweepAllNodesDownFails(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "failed after") {
 		t.Fatalf("error %q does not name the exhausted shard", err)
+	}
+}
+
+// exchangeCounter counts the API requests a fleet sends.
+type exchangeCounter struct {
+	next http.RoundTripper
+	n    atomic.Int64
+}
+
+func (c *exchangeCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasPrefix(req.URL.Path, "/v1/") {
+		c.n.Add(1)
+	}
+	return c.next.RoundTrip(req)
+}
+
+// TestHardRefusalFailsSweep checks both sweep kinds against nodes that
+// refuse every request with a 400: a hard 4xx is the request's fault,
+// so the sweep fails at once with the node's error instead of walking
+// its failover budget, and nothing is redispatched.
+func TestHardRefusalFailsSweep(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sweep func(context.Context, *Fleet) error
+	}{
+		{"dse", func(ctx context.Context, f *Fleet) error {
+			_, err := f.Sweep(ctx, fleetReq())
+			return err
+		}},
+		{"fusion", func(ctx context.Context, f *Fleet) error {
+			_, err := f.SweepFusion(ctx, fusionFleetReq())
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hosts, servers, hc := newNodes(t, 2)
+			for _, s := range servers {
+				s.SetChaos(serve.Chaos{ErrorRate: 1, ErrorCode: http.StatusBadRequest})
+			}
+			ex := &exchangeCounter{next: hc.Transport}
+			opts := fastFleet(hosts, &http.Client{Transport: ex})
+			f, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+
+			err = tc.sweep(context.Background(), f)
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+				t.Fatalf("sweep error = %v, want the node's 400", err)
+			}
+			if exchanges, shards := ex.n.Load(), int64(len(hosts)*opts.ShardsPerNode); exchanges > shards {
+				t.Errorf("%d HTTP exchanges for %d shards: a refused shard was retried", exchanges, shards)
+			}
+			if n := f.Stats().Redispatched; n != 0 {
+				t.Errorf("redispatched %d shards after a hard refusal", n)
+			}
+		})
 	}
 }
 

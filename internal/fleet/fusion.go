@@ -2,16 +2,13 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/dse"
 	"repro/internal/serve"
-	"repro/internal/serve/client"
 )
 
 // FusionShardResult is one merged fusion chunk, streamed via
@@ -246,12 +243,7 @@ func (f *Fleet) dispatchFusion(ctx context.Context, slots hostSlots, shard int, 
 			if err == nil {
 				return resp, host, retries, nil
 			}
-			// A hard 4xx is the request's fault, not the node's: every
-			// node would refuse it the same way, so fail the shard now.
-			// 408/429 stay retryable — another node may have capacity.
-			var apiErr *client.APIError
-			if errors.As(err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 &&
-				apiErr.Status != http.StatusRequestTimeout && apiErr.Status != http.StatusTooManyRequests {
+			if refused(err) {
 				return nil, "", retries, err
 			}
 			lastErr = err

@@ -453,34 +453,34 @@ func (f *fuser) msMapping(i int) (*core.Result, dataflow.Dataflow) {
 }
 
 // singletonCost prices layer i as its own group: the per-layer engine's
-// DRAM traffic at the schedule's L2 budget. With a positive budget the
-// claim is clamped to the spill (pure-streaming) traffic — more
-// capacity can always fall back to streaming, so a singleton's claim is
-// non-increasing in L2Bytes. The L2Bytes=0 sentinel reproduces the raw
-// per-layer engine totals bit for bit.
+// DRAM traffic, split by tensor, at the schedule's L2 budget. With a
+// positive budget the claim is clamped to the spill (pure-streaming)
+// traffic — more capacity can always fall back to streaming, so a
+// singleton's claim is non-increasing in L2Bytes. The L2Bytes=0
+// sentinel keeps the per-layer engine's own totals bit for bit.
 func (f *fuser) singletonCost(i int) groupCost {
 	r := f.results[i]
-	var cl layerClaims
-	if f.opt.L2Bytes == 0 {
-		cl = priceLayerMirror(r, r.EffectiveL2)
-		// The mirror reproduces applyL2 exactly; keep the engine totals
-		// authoritative regardless.
-		cl.scaleTo(r.DRAMReads, r.DRAMWrites)
-	} else {
-		cl = priceLayerMirror(r, f.opt.L2Bytes)
-		if sp := spillClaims(r); sp.total() < cl.total() {
-			cl = sp
+	reads, writes := r.DRAMTensorReads, r.DRAMWrites
+	if f.opt.L2Bytes != 0 {
+		at := r.AtL2(f.opt.L2Bytes)
+		reads, writes = at.DRAMTensorReads, at.DRAMWrites
+		spill := core.TensorCounts{
+			tensor.Input:  r.BufRead[0][tensor.Input],
+			tensor.Weight: r.BufRead[0][tensor.Weight],
+		}
+		if sw := r.BufWrite[0][tensor.Output]; spill.Sum()+sw < reads.Sum()+writes {
+			reads, writes = spill, sw
 		}
 	}
 	count := int64(f.g.Model.Layers[i].Count)
 	return groupCost{
 		feasible: true,
-		actR:     cl.reads[tensor.Input] + cl.reads[tensor.Output],
-		wR:       cl.reads[tensor.Weight],
-		actW:     cl.writes,
-		readsPI:  cl.readsTotal(),
-		writesPI: cl.writes,
-		cost:     (cl.readsTotal() + cl.writes) * count,
+		actR:     reads[tensor.Input] + reads[tensor.Output],
+		wR:       reads[tensor.Weight],
+		actW:     writes,
+		readsPI:  reads.Sum(),
+		writesPI: writes,
+		cost:     (reads.Sum() + writes) * count,
 	}
 }
 
@@ -593,97 +593,4 @@ func partitionDAG(f *fuser) []groupSpan {
 type groupSpan struct {
 	lo, hi int
 	cost   groupCost
-}
-
-// layerClaims decomposes one layer's DRAM traffic per tensor.
-type layerClaims struct {
-	reads  [tensor.NumKinds]int64
-	writes int64
-}
-
-func (c layerClaims) readsTotal() int64 {
-	return c.reads[tensor.Input] + c.reads[tensor.Weight] + c.reads[tensor.Output]
-}
-
-func (c layerClaims) total() int64 { return c.readsTotal() + c.writes }
-
-// scaleTo forces the decomposition's totals to the engine's, absorbing
-// any residue into the input-read and output-write terms. The mirror is
-// exact today; this keeps the sentinel path bit-identical to the
-// per-layer engine even if the engine's retention model moves.
-func (c *layerClaims) scaleTo(reads, writes int64) {
-	c.reads[tensor.Input] += reads - c.readsTotal()
-	c.writes = writes
-}
-
-// spillClaims prices the pure-streaming policy: every L2-level access
-// goes off-chip (core's L2Spill accounting).
-func spillClaims(r *core.Result) layerClaims {
-	var c layerClaims
-	c.reads[tensor.Input] = r.BufRead[0][tensor.Input]
-	c.reads[tensor.Weight] = r.BufRead[0][tensor.Weight]
-	c.writes = r.BufWrite[0][tensor.Output]
-	return c
-}
-
-// priceLayerMirror re-derives core.Result.applyL2's DRAM traffic with a
-// per-tensor decomposition. It must stay a bit-exact mirror of applyL2
-// — the differential harness (internal/testutil) checks the totals
-// against the engine across the layer zoo.
-func priceLayerMirror(r *core.Result, l2 int64) layerClaims {
-	req := r.L2ReqBytes()
-	if l2 == 0 {
-		l2 = req
-	}
-	if l2 < req {
-		return spillClaims(r)
-	}
-	var sizes [tensor.NumKinds]int64
-	for _, k := range tensor.AllKinds() {
-		sizes[k] = scaledElems(r.Layer, k)
-	}
-	type cand struct {
-		kind   tensor.Kind
-		bytes  int64
-		saving int64
-	}
-	cands := make([]cand, 0, 3)
-	for _, k := range []tensor.Kind{tensor.Input, tensor.Weight, tensor.Output} {
-		traffic := r.BufRead[0][k]
-		if k == tensor.Output {
-			traffic = r.BufWrite[0][k] + r.BufRead[0][k]
-		}
-		cands = append(cands, cand{k, sizes[k] * int64(r.Cfg.ElemBytes), traffic - sizes[k]})
-	}
-	for i := 0; i < len(cands); i++ {
-		for j := i + 1; j < len(cands); j++ {
-			if float64(cands[j].saving)/float64(cands[j].bytes+1) >
-				float64(cands[i].saving)/float64(cands[i].bytes+1) {
-				cands[i], cands[j] = cands[j], cands[i]
-			}
-		}
-	}
-	spare := l2 - req
-	var retainedK [tensor.NumKinds]bool
-	for _, c := range cands {
-		if c.saving > 0 && c.bytes <= spare {
-			retainedK[c.kind] = true
-			spare -= c.bytes
-		}
-	}
-	var cl layerClaims
-	for _, k := range []tensor.Kind{tensor.Input, tensor.Weight} {
-		if retainedK[k] || r.BufRead[0][k] < sizes[k] {
-			cl.reads[k] = sizes[k]
-		} else {
-			cl.reads[k] = r.BufRead[0][k]
-		}
-	}
-	if retainedK[tensor.Output] || r.BufWrite[0][tensor.Output] <= sizes[tensor.Output] {
-		cl.writes = sizes[tensor.Output]
-	} else {
-		cl.writes = r.BufWrite[0][tensor.Output]
-		cl.reads[tensor.Output] = r.BufRead[0][tensor.Output]
-	}
-	return cl
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"strings"
@@ -11,6 +12,13 @@ import (
 	"repro/internal/hw"
 	"repro/internal/tensor"
 )
+
+// Key identifies one canonical request: the SHA-256 of its canonical
+// encoding. It keys the result cache and the fleet's routing ring.
+type Key [32]byte
+
+// String returns the hex form served back to clients.
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // The analyze canonicalizer turns a resolved request into a stable
 // cache key: core's profile identity (the raw layer fields and the

@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"context"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/dataflows"
 	"repro/internal/dse"
 	"repro/internal/hw"
-	"repro/internal/obs"
 )
 
 // Template builders adapt the dataflows package's parameterized styles
@@ -260,22 +256,6 @@ func pointJSON(p dse.Point) *DSEPointJSON {
 		Runtime: p.Runtime, Throughput: p.Throughput,
 		EnergyPJ: p.EnergyPJ, EDP: p.EDP,
 	}
-}
-
-// runDSETraced runs the sweep inside ctx's span tree: the whole sweep
-// is one "serve.compute" span, and dse.Explore hangs its own explore
-// and per-mapping spans below it (with the request's baggage, so every
-// worker span carries the request ID).
-func (s *Server) runDSETraced(ctx context.Context, req DSERequest, sp dse.Space) *DSEResponse {
-	start := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
-		obs.String("layer", sp.Layer.Name), obs.String("template", sp.Template.Name))
-	sp.Ctx = ctx
-	resp := runDSE(req, sp)
-	span.SetAttr(obs.Int64("explored", resp.Explored))
-	span.End()
-	s.stageSeconds.With("compute").Observe(time.Since(start).Seconds())
-	return resp
 }
 
 // runDSE executes the sweep and shapes the response.

@@ -163,19 +163,6 @@ func canonicalFusionKey(cfg hw.Config, req FusionRequest) Key {
 	return sha256.Sum256(b)
 }
 
-// runFusionTraced runs the sweep inside ctx's span tree.
-func (s *Server) runFusionTraced(ctx context.Context, sp dse.FusionSpace) *FusionResponse {
-	start := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
-		obs.String("model", sp.Model.Name), obs.String("template", sp.Dataflow))
-	sp.Ctx = ctx
-	resp := runFusion(sp)
-	span.SetAttr(obs.Int64("valid", resp.Valid))
-	span.End()
-	s.stageSeconds.With("compute").Observe(time.Since(start).Seconds())
-	return resp
-}
-
 func fusionPointJSON(p dse.FusionPoint) *FusionPointJSON {
 	return &FusionPointJSON{
 		L2Bytes:        p.L2Bytes,
@@ -192,9 +179,15 @@ func fusionPointJSON(p dse.FusionPoint) *FusionPointJSON {
 	}
 }
 
-// runFusion executes the sweep and shapes the response.
-func runFusion(sp dse.FusionSpace) *FusionResponse {
-	points, stats, _ := dse.ExploreFusion(sp)
+// runFusion executes the sweep and shapes the response. The sweep stops
+// launching points once sp.Ctx ends and then returns the context's
+// error; a truncated plane is reported as that error, so the result
+// cache never stores it.
+func runFusion(sp dse.FusionSpace) (*FusionResponse, error) {
+	points, stats, err := dse.ExploreFusion(sp)
+	if err != nil {
+		return nil, err
+	}
 	resp := &FusionResponse{
 		Model:  sp.Model.Name,
 		MACs:   sp.Model.MACs(),
@@ -209,7 +202,7 @@ func runFusion(sp dse.FusionSpace) *FusionResponse {
 	if best, ok := dse.BestFusion(points); ok {
 		resp.Best = fusionPointJSON(best)
 	}
-	return resp
+	return resp, nil
 }
 
 func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
@@ -233,56 +226,25 @@ func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
 	key := canonicalFusionKey(sp.Cfg, req.WithDefaults())
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
 	defer cancel()
-
-	type outcome struct {
-		resp   *FusionResponse
-		cached bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
-	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		if ctx.Err() != nil {
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		if req.NoCache {
-			ch <- outcome{resp: s.runFusionTraced(ctx, sp)}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache")
-		v, cached, err := s.cache.Do(key, func() (any, error) {
-			return s.runFusionTraced(cctx, sp), nil
-		})
-		cspan.SetAttr(obs.Bool("hit", cached))
-		cspan.End()
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{resp: v.(*FusionResponse), cached: cached}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
-		s.writeError(w, r, err)
+	a := s.run(ctx, task{
+		keys:    []Key{key},
+		noCache: req.NoCache,
+		compute: func(ctx context.Context, _ []int) []answer {
+			span := obs.SpanFrom(ctx)
+			span.SetAttr(obs.String("model", sp.Model.Name), obs.String("template", sp.Dataflow))
+			sp.Ctx = ctx
+			resp, err := runFusion(sp)
+			if err != nil {
+				return []answer{{err: err}}
+			}
+			resp.Key = key.String()
+			span.SetAttr(obs.Int64("valid", resp.Valid))
+			return []answer{{val: resp}}
+		},
+	})[0]
+	if a.err != nil {
+		s.writeError(w, r, a.err)
 		return
 	}
-	select {
-	case <-ctx.Done():
-		s.writeError(w, r, ctx.Err())
-	case o := <-ch:
-		if o.err != nil {
-			s.writeError(w, r, o.err)
-			return
-		}
-		resp := *o.resp
-		resp.Key = key.String()
-		resp.Cached = o.cached
-		s.writeJSON(w, http.StatusOK, &resp)
-	}
+	s.writeJSON(w, http.StatusOK, a.val)
 }

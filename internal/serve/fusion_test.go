@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 )
@@ -98,5 +100,23 @@ func TestFusionEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/fusion = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestFusionCancelledSweepReportsError: a sweep stops launching points
+// once its context ends, so a request whose caller left mid-sweep may
+// hold a truncated plane. runFusion must report the context's error
+// instead, or the pipeline would cache the truncated answer for every
+// later identical request.
+func TestFusionCancelledSweepReportsError(t *testing.T) {
+	sp, err := buildFusionSpace(fusionReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sp.Ctx = ctx
+	if resp, err := runFusion(sp); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep = (%+v, %v), want context.Canceled", resp, err)
 	}
 }

@@ -10,12 +10,14 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/hw"
+	"repro/internal/lru"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -101,7 +103,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts  Options
 	pool  *Pool
-	cache *Cache
+	cache *lru.Cache[Key, any]
 	reg   *Registry
 	log   *slog.Logger
 	// capture holds the live /debug/trace recorder; the middleware
@@ -141,7 +143,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		pool:    NewPool(opts.Workers, opts.QueueDepth),
-		cache:   NewCache(opts.CacheEntries),
+		cache:   lru.New[Key, any](opts.CacheEntries),
 		reg:     NewRegistry(),
 		log:     opts.Logger,
 		started: time.Now(),
@@ -380,69 +382,49 @@ func (s *Server) timeoutFor(ms int) time.Duration {
 	return s.opts.DefaultTimeout
 }
 
-// evaluate runs one resolved analysis and shapes the response. This is
-// the single place the cost model is invoked from.
-func (s *Server) evaluate(ctx context.Context, r resolved, key Key) (*AnalyzeResponse, error) {
-	s.evaluations.Inc()
+// evaluate prices the missed members of ms, which share one
+// (dataflow, layer, PE-count) profile, and shapes their responses; it
+// is the one place the analyses invoke the cost model. Profiles come
+// from the shared profile cache, so requests that differ only in
+// hardware (and DSE sweeps of the same mapping) share one cluster walk.
+// A single member prices alone. Several price in one PriceBatch walk,
+// and a member whose configuration fails batch validation is re-priced
+// alone so it carries the precise error. A profile-side failure (an
+// unresolvable mapping) fails every member alike.
+func (s *Server) evaluate(ctx context.Context, ms []batchMember, miss []int) []answer {
+	s.evaluations.Add(int64(len(miss)))
 	startedAt := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
-		obs.String("layer", r.layer.Name), obs.String("dataflow", r.df.Name))
-	// The cached variant shares the hardware-independent profile across
-	// requests that differ only in hardware configuration (and with the
-	// DSE endpoint, which prices the same profiles). Its profile fetch
-	// and pricing appear as child spans / cache events under this span.
-	res, err := core.AnalyzeDataflowCachedCtx(ctx, r.df, r.layer, r.cfg)
-	span.End()
-	elapsed := time.Since(startedAt)
-	s.stageSeconds.With("compute").Observe(elapsed.Seconds())
-	s.svcTime.Observe(elapsed)
-	if err != nil {
-		return nil, err
-	}
-	return shapeResponse(res, key, startedAt), nil
-}
-
-// evaluateGroup prices one profile group of a batch — members sharing a
-// (dataflow, layer, PE-count) profile — in a single PriceBatch walk.
-// The per-member slices line up with ms; a member whose configuration
-// fails batch validation is re-run alone through evaluate so its item
-// carries the precise error (the common case prices every member in the
-// one walk). A profile-side failure (unresolvable mapping) fails every
-// member identically.
-func (s *Server) evaluateGroup(ctx context.Context, ms []batchMember) ([]*AnalyzeResponse, []error) {
-	startedAt := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
-		obs.String("layer", ms[0].r.layer.Name), obs.String("dataflow", ms[0].r.df.Name),
-		obs.Int("points", len(ms)))
-	cfgs := make([]hw.Config, len(ms))
-	for i, m := range ms {
-		cfgs[i] = m.r.cfg
-	}
-	rs, err := core.AnalyzeDataflowCachedBatchCtx(ctx, ms[0].r.df, ms[0].r.layer, cfgs)
-	span.End()
-	elapsed := time.Since(startedAt)
-	s.stageSeconds.With("compute").Observe(elapsed.Seconds())
-	s.svcTime.Observe(elapsed)
-
-	resps := make([]*AnalyzeResponse, len(ms))
-	errs := make([]error, len(ms))
-	if rs == nil {
-		for i := range errs {
-			errs[i] = err
+	span := obs.SpanFrom(ctx)
+	span.SetAttr(obs.String("layer", ms[0].r.layer.Name), obs.String("dataflow", ms[0].r.df.Name))
+	var rs []*core.Result
+	var err error
+	if len(miss) > 1 {
+		span.SetAttr(obs.Int("points", len(miss)))
+		cfgs := make([]hw.Config, len(miss))
+		for j, i := range miss {
+			cfgs[j] = ms[i].r.cfg
 		}
-		return resps, errs
+		rs, err = core.AnalyzeDataflowCachedBatchCtx(ctx, ms[0].r.df, ms[0].r.layer, cfgs)
 	}
-	priced := 0
-	for i, m := range ms {
-		if rs[i] == nil {
-			resps[i], errs[i] = s.evaluate(ctx, m.r, m.key)
+	out := make([]answer, len(miss))
+	for j, i := range miss {
+		m := ms[i]
+		if err != nil {
+			out[j].err = err
 			continue
 		}
-		priced++
-		resps[i] = shapeResponse(rs[i], m.key, startedAt)
+		var res *core.Result
+		if rs != nil {
+			res = rs[j]
+		}
+		if res == nil {
+			res, out[j].err = core.AnalyzeDataflowCachedCtx(ctx, m.r.df, m.r.layer, m.r.cfg)
+		}
+		if out[j].err == nil {
+			out[j].val = shapeResponse(res, m.key, startedAt)
+		}
 	}
-	s.evaluations.Add(int64(priced))
-	return resps, errs
+	return out
 }
 
 // shapeResponse converts one cost-model Result into the wire shape.
@@ -484,100 +466,31 @@ func shapeResponse(res *core.Result, key Key, startedAt time.Time) *AnalyzeRespo
 	}
 }
 
-// analyzeOne resolves, canonicalizes, and executes one request through
-// the cache and pool, honoring ctx. It is shared by the single and
-// batch endpoints.
+// analyzeOne resolves, canonicalizes, and serves one request.
 func (s *Server) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeResponse, error) {
 	r, err := resolveRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	return s.analyzeResolved(ctx, req.NoCache, r, canonicalKey(r))
+	a := s.analyze(ctx, []batchMember{{r: r, key: canonicalKey(r), noCache: req.NoCache}})[0]
+	if a.err != nil {
+		return nil, a.err
+	}
+	return a.val.(*AnalyzeResponse), nil
 }
 
-// analyzeResolved executes one already-resolved request through the
-// cache and pool, honoring ctx.
-func (s *Server) analyzeResolved(ctx context.Context, noCache bool, r resolved, key Key) (*AnalyzeResponse, error) {
-	// Fast path: cache hits bypass the queue entirely.
-	if !noCache {
-		lookup := time.Now()
-		v, ok := s.cache.Get(key)
-		s.stageSeconds.With("cache").Observe(time.Since(lookup).Seconds())
-		if ok {
-			// The hit is recorded on a per-item child span: the batch
-			// handler runs analyzeOne on many goroutines under one shared
-			// request span, and a span does not take concurrent Events.
-			_, hspan := obs.Start(ctx, "serve.cache", obs.Bool("hit", true))
-			hspan.Event("result_cache.hit")
-			hspan.End()
-			resp := *(v.(*AnalyzeResponse)) // copy: Cached is per-delivery
-			resp.Cached = true
-			return &resp, nil
-		}
+// analyze serves ms — one request, or one profile group of a batch —
+// through the pipeline, one answer per member.
+func (s *Server) analyze(ctx context.Context, ms []batchMember) []answer {
+	keys := make([]Key, len(ms))
+	for i, m := range ms {
+		keys[i] = m.key
 	}
-
-	// Adaptive shedding: a request whose remaining deadline cannot cover
-	// the expected queue wait plus the observed median compute time is
-	// dropped here, before it occupies a queue slot it can never use.
-	if dl, ok := ctx.Deadline(); ok {
-		if err := s.shedCheck(time.Until(dl)); err != nil {
-			return nil, err
-		}
-	}
-
-	type outcome struct {
-		resp   *AnalyzeResponse
-		cached bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	// The queue span covers submit-to-dequeue: under load it is the
-	// backpressure wait, distinct from the compute span inside the job.
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
-	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		if ctx.Err() != nil { // caller already gone; don't burn a worker
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		if noCache {
-			resp, err := s.evaluate(ctx, r, key)
-			ch <- outcome{resp: resp, err: err}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache")
-		v, cached, err := s.cache.Do(key, func() (any, error) {
-			return s.evaluate(cctx, r, key)
-		})
-		cspan.SetAttr(obs.Bool("hit", cached))
-		cspan.End()
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{resp: v.(*AnalyzeResponse), cached: cached}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		// Rejected submissions still count toward the queue stage —
-		// saturation is exactly when the queue histogram matters.
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
-		return nil, err
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case o := <-ch:
-		if o.err != nil {
-			return nil, o.err
-		}
-		resp := *o.resp
-		resp.Cached = o.cached
-		return &resp, nil
-	}
+	return s.run(ctx, task{
+		keys:    keys,
+		noCache: ms[0].noCache,
+		compute: func(ctx context.Context, miss []int) []answer { return s.evaluate(ctx, ms, miss) },
+	})
 }
 
 // ---- handlers ----
@@ -654,13 +567,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve every item up front so the ones sharing a hardware-
 	// independent profile — same dataflow, layer, and PE count, differing
-	// only in the rest of the hardware — can be priced together in one
-	// PriceBatch walk instead of one pool job each. Items that fail
-	// resolution error out immediately; NoCache items and singleton
-	// groups keep the classic per-item path.
+	// only in the rest of the hardware — are served as one group: one
+	// queue slot and one PriceBatch walk instead of one pool job each.
+	// Items that fail resolution error out immediately; NoCache items
+	// are served alone.
 	items := make([]BatchItem, len(req.Requests))
-	var singles []batchMember
-	groups := map[core.ProfileKey][]batchMember{}
+	var groups [][]batchMember
+	byProfile := map[core.ProfileKey]int{}
 	for i := range req.Requests {
 		items[i].Index = i
 		rr, err := resolveRequest(req.Requests[i])
@@ -669,180 +582,54 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		m := batchMember{idx: i, r: rr, key: canonicalKey(rr), noCache: req.Requests[i].NoCache}
-		if m.noCache {
-			singles = append(singles, m)
-			continue
+		if !m.noCache {
+			pk := core.ProfileKeyFor(rr.df, rr.layer, rr.cfg.NumPEs)
+			if g, ok := byProfile[pk]; ok {
+				groups[g] = append(groups[g], m)
+				continue
+			}
+			byProfile[pk] = len(groups)
 		}
-		pk := core.ProfileKeyFor(rr.df, rr.layer, rr.cfg.NumPEs)
-		groups[pk] = append(groups[pk], m)
-	}
-	for pk, ms := range groups {
-		if len(ms) == 1 {
-			singles = append(singles, ms[0])
-			delete(groups, pk)
-		}
+		groups = append(groups, []batchMember{m})
 	}
 
 	// Fan out; results land at their member's index. Group goroutines
 	// write disjoint item slots, and the handler joins every goroutine
 	// before reading items.
-	done := make(chan struct{}, len(singles)+len(groups))
-	launched := 0
-	for _, m := range singles {
-		m := m
-		launched++
+	var wg sync.WaitGroup
+	var rejected atomic.Int64
+	for _, ms := range groups {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
-			resp, err := s.analyzeResolved(ctx, m.noCache, m.r, m.key)
-			items[m.idx].Result = resp
-			if err != nil {
-				items[m.idx].Error = err.Error()
+			defer wg.Done()
+			for i, a := range s.analyze(ctx, ms) {
+				it := &items[ms[i].idx]
+				if a.err != nil {
+					it.Error = a.err.Error()
+					if errors.Is(a.err, ErrQueueFull) {
+						rejected.Add(1)
+					}
+					continue
+				}
+				it.Result = a.val.(*AnalyzeResponse)
 			}
 		}()
 	}
-	for _, ms := range groups {
-		ms := ms
-		launched++
-		go func() {
-			defer func() { done <- struct{}{} }()
-			s.analyzeGroup(ctx, ms, items)
-		}()
-	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
-	allRejected := true
-	for i := range items {
-		if !errors.Is(errorOf(items[i]), ErrQueueFull) {
-			allRejected = false
-			break
-		}
-	}
-	if allRejected {
+	wg.Wait()
+	if rejected.Load() == int64(len(items)) {
 		s.writeError(w, r, fmt.Errorf("%w: all %d batch items rejected", ErrQueueFull, len(items)))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, BatchResponse{Results: items})
 }
 
-// batchMember is one resolved batch item: its slot in the response, its
-// validated request, and its result-cache key.
+// batchMember is one resolved analysis: its slot in a batch response,
+// its validated request, and its result-cache key.
 type batchMember struct {
 	idx     int
 	r       resolved
 	key     Key
 	noCache bool
-}
-
-// analyzeGroup executes one profile group of a batch: the per-item
-// cache fast path first, then the remaining misses as a single pool job
-// that prices them all in one PriceBatch walk. Each priced response is
-// inserted under its own result-cache key (through the cache's
-// singleflight Do), so later identical requests hit as if the items had
-// been computed individually. A rejected submit or an expired context
-// fails every miss with the same error the per-item path would report.
-func (s *Server) analyzeGroup(ctx context.Context, ms []batchMember, items []BatchItem) {
-	miss := make([]batchMember, 0, len(ms))
-	for _, m := range ms {
-		lookup := time.Now()
-		v, ok := s.cache.Get(m.key)
-		s.stageSeconds.With("cache").Observe(time.Since(lookup).Seconds())
-		if ok {
-			_, hspan := obs.Start(ctx, "serve.cache", obs.Bool("hit", true))
-			hspan.Event("result_cache.hit")
-			hspan.End()
-			resp := *(v.(*AnalyzeResponse))
-			resp.Cached = true
-			items[m.idx].Result = &resp
-			continue
-		}
-		miss = append(miss, m)
-	}
-	if len(miss) == 0 {
-		return
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if err := s.shedCheck(time.Until(dl)); err != nil {
-			for _, m := range miss {
-				items[m.idx].Error = err.Error()
-			}
-			return
-		}
-	}
-
-	// One queue slot covers the whole group; the job reports back over a
-	// channel so an early ctx exit never races the job's item writes.
-	type groupOutcome struct {
-		resps  []*AnalyzeResponse
-		cached []bool
-		errs   []error
-	}
-	ch := make(chan groupOutcome, 1)
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
-	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		if ctx.Err() != nil {
-			errs := make([]error, len(miss))
-			for i := range errs {
-				errs[i] = ctx.Err()
-			}
-			ch <- groupOutcome{errs: errs}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache", obs.Bool("hit", false))
-		resps, errs := s.evaluateGroup(cctx, miss)
-		cached := make([]bool, len(miss))
-		for i := range miss {
-			if errs[i] != nil || resps[i] == nil {
-				continue
-			}
-			resp := resps[i]
-			v, wasCached, _ := s.cache.Do(miss[i].key, func() (any, error) { return resp, nil })
-			resps[i] = v.(*AnalyzeResponse)
-			cached[i] = wasCached
-		}
-		cspan.End()
-		ch <- groupOutcome{resps: resps, cached: cached, errs: errs}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
-		for _, m := range miss {
-			items[m.idx].Error = err.Error()
-		}
-		return
-	}
-	select {
-	case <-ctx.Done():
-		for _, m := range miss {
-			items[m.idx].Error = ctx.Err().Error()
-		}
-	case o := <-ch:
-		for i, m := range miss {
-			if o.errs[i] != nil {
-				items[m.idx].Error = o.errs[i].Error()
-				continue
-			}
-			resp := *o.resps[i]
-			resp.Cached = o.cached[i]
-			items[m.idx].Result = &resp
-		}
-	}
-}
-
-// errorOf recovers the sentinel classification of a batch item error
-// from its message (items keep errors as strings for the JSON shape).
-func errorOf(it BatchItem) error {
-	if it.Error == "" {
-		return nil
-	}
-	if it.Error == ErrQueueFull.Error() {
-		return ErrQueueFull
-	}
-	return errors.New(it.Error)
 }
 
 func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
@@ -863,62 +650,29 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	layer := sp.Layer
-	key := canonicalDSEKey(layer, req)
+	key := canonicalDSEKey(sp.Layer, req)
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
 	defer cancel()
-
-	type outcome struct {
-		resp   *DSEResponse
-		cached bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
-	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		if ctx.Err() != nil {
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		if req.NoCache {
-			ch <- outcome{resp: s.runDSETraced(ctx, req, sp)}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache")
-		v, cached, err := s.cache.Do(key, func() (any, error) {
-			return s.runDSETraced(cctx, req, sp), nil
-		})
-		cspan.SetAttr(obs.Bool("hit", cached))
-		cspan.End()
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{resp: v.(*DSEResponse), cached: cached}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
-		s.writeError(w, r, err)
+	a := s.run(ctx, task{
+		keys:    []Key{key},
+		noCache: req.NoCache,
+		compute: func(ctx context.Context, _ []int) []answer {
+			// dse.Explore hangs its explore and per-mapping spans under
+			// serve.compute, with the request's baggage.
+			span := obs.SpanFrom(ctx)
+			span.SetAttr(obs.String("layer", sp.Layer.Name), obs.String("template", sp.Template.Name))
+			sp.Ctx = ctx
+			resp := runDSE(req, sp)
+			resp.Key = key.String()
+			span.SetAttr(obs.Int64("explored", resp.Explored))
+			return []answer{{val: resp}}
+		},
+	})[0]
+	if a.err != nil {
+		s.writeError(w, r, a.err)
 		return
 	}
-	select {
-	case <-ctx.Done():
-		s.writeError(w, r, ctx.Err())
-	case o := <-ch:
-		if o.err != nil {
-			s.writeError(w, r, o.err)
-			return
-		}
-		resp := *o.resp
-		resp.Key = key.String()
-		resp.Cached = o.cached
-		s.writeJSON(w, http.StatusOK, &resp)
-	}
+	s.writeJSON(w, http.StatusOK, a.val)
 }
 
 // ModelsResponse is the body of GET /v1/models.

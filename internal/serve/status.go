@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 )
 
 // This file is the service's identity surface: the build metadata
@@ -97,12 +98,8 @@ func (s *Server) Status() StatusResponse {
 		QueueCap:   s.opts.QueueDepth,
 		Inflight:   s.pool.Running(),
 
-		Cache: CacheStatus{
-			Entries: int64(s.cache.Len()), Hits: s.cache.Hits(),
-			Misses: s.cache.Misses(), Coalesced: s.cache.Coalesced(),
-			Evictions: s.cache.Evictions(),
-		},
-		ProfileCache: profileCacheStatus(),
+		Cache:        cacheStatus(s.cache),
+		ProfileCache: cacheStatus(core.DefaultProfileCache.Cache),
 
 		Evaluations: s.evaluations.Value(),
 		Rejected:    s.rejected.Value(),
@@ -124,12 +121,11 @@ func (s *Server) Status() StatusResponse {
 	return st
 }
 
-// profileCacheStatus snapshots the process-wide shared profile cache.
-func profileCacheStatus() CacheStatus {
-	pc := core.DefaultProfileCache
+// cacheStatus snapshots one of the node's caches.
+func cacheStatus[K ~[32]byte, V any](c *lru.Cache[K, V]) CacheStatus {
 	return CacheStatus{
-		Entries: int64(pc.Len()), Hits: pc.Hits(), Misses: pc.Misses(),
-		Coalesced: pc.Coalesced(), Evictions: pc.Evictions(),
+		Entries: int64(c.Len()), Hits: c.Hits(), Misses: c.Misses(),
+		Coalesced: c.Coalesced(), Evictions: c.Evictions(),
 	}
 }
 
