@@ -43,8 +43,10 @@ bench:
 
 # DSE throughput: warm-cache, cold-profile, and per-point-Analyze
 # variants of the Explore benchmark, the Profile/Price/PriceBatch and
-# profile-key microbenchmarks, and a fixed-dataflow fusion schedule on
-# a warm profile cache; the measured numbers are recorded in
+# profile-key microbenchmarks, a fixed-dataflow fusion schedule on a
+# warm profile cache, and the fusion sweeps of a fleet chunk and a
+# /v1/fusion request (BenchmarkExploreFusion, which the BenchmarkExplore
+# pattern matches by prefix); the measured numbers are recorded in
 # BENCH_dse.json.
 bench-dse:
 	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/

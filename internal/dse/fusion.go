@@ -37,7 +37,9 @@ type FusionSpace struct {
 	// (1 = singleton groups, retention only). Nil uses {1, 2, 4, 8}.
 	MaxGroupLayers []int
 
-	// Workers caps the worker pool (default: one per point, at most 8).
+	// Workers caps the worker pool. Each worker prices one budget at a
+	// time, every granularity cap of it at once (default: one per
+	// budget, at most 8).
 	Workers int
 	// Ctx carries cancellation and the obs span tree.
 	Ctx context.Context
@@ -93,7 +95,7 @@ func (sp FusionSpace) withDefaults() FusionSpace {
 		sp.MaxGroupLayers = []int{1, 2, 4, 8}
 	}
 	if sp.Workers <= 0 {
-		sp.Workers = min(8, len(sp.L2Grid)*len(sp.MaxGroupLayers))
+		sp.Workers = min(8, len(sp.L2Grid))
 	}
 	if sp.Ctx == nil {
 		sp.Ctx = context.Background()
@@ -146,56 +148,48 @@ func ExploreFusion(sp FusionSpace) ([]FusionPoint, FusionStats, error) {
 		}
 	}
 
-	type cell struct {
-		l2  int64
-		mgl int
-	}
-	var grid []cell
-	for _, l2 := range sp.L2Grid {
-		for _, mgl := range sp.MaxGroupLayers {
-			grid = append(grid, cell{l2, mgl})
-		}
-	}
-
+	caps := sp.MaxGroupLayers
+	raw := len(sp.L2Grid) * len(caps)
 	start := time.Now()
 	ctx, span := obs.Start(sp.Ctx, "dse.fusion",
-		obs.String("model", sp.Model.Name), obs.Int64("raw", int64(len(grid))))
+		obs.String("model", sp.Model.Name), obs.Int64("raw", int64(raw)))
 	defer span.End()
 
-	points := make([]*FusionPoint, len(grid))
+	// One job per budget: RunFusedCaps builds the budget's mappings and
+	// prices its intervals once for every cap.
+	points := make([]*FusionPoint, raw)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, sp.Workers)
-	for i, c := range grid {
+	for b, l2 := range sp.L2Grid {
 		if ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, c cell) {
+		go func(b int, l2 int64) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			opt := base
-			opt.L2Bytes = c.l2
-			s, err := netsched.RunFused(sp.Model, sp.Cfg, netsched.FuseOptions{
-				Options:        opt,
-				MaxGroupLayers: c.mgl,
-			})
+			opt.L2Bytes = l2
+			scheds, err := netsched.RunFusedCaps(sp.Model, sp.Cfg, opt, caps)
 			if err != nil {
 				return
 			}
-			points[i] = &FusionPoint{
-				L2Bytes:        c.l2,
-				MaxGroupLayers: c.mgl,
-				FusedGroups:    s.FusedGroups(),
-				DRAMTraffic:    s.DRAMTraffic,
-				BaselineDRAM:   s.BaselineDRAM,
-				DRAMSaved:      s.DRAMSaved,
-				ActTraffic:     s.ActTraffic,
-				BaselineAct:    s.BaselineAct,
-				TotalCycles:    s.TotalCycles,
-				EnergyPJ:       s.EnergyPJ,
+			for k, s := range scheds {
+				points[b*len(caps)+k] = &FusionPoint{
+					L2Bytes:        l2,
+					MaxGroupLayers: caps[k],
+					FusedGroups:    s.FusedGroups(),
+					DRAMTraffic:    s.DRAMTraffic,
+					BaselineDRAM:   s.BaselineDRAM,
+					DRAMSaved:      s.DRAMSaved,
+					ActTraffic:     s.ActTraffic,
+					BaselineAct:    s.BaselineAct,
+					TotalCycles:    s.TotalCycles,
+					EnergyPJ:       s.EnergyPJ,
+				}
 			}
-		}(i, c)
+		}(b, l2)
 	}
 	wg.Wait()
 
@@ -212,7 +206,7 @@ func ExploreFusion(sp FusionSpace) ([]FusionPoint, FusionStats, error) {
 		return out[i].MaxGroupLayers < out[j].MaxGroupLayers
 	})
 	st := FusionStats{
-		Raw:     int64(len(grid)),
+		Raw:     int64(raw),
 		Valid:   int64(len(out)),
 		Elapsed: time.Since(start),
 	}
@@ -244,9 +238,10 @@ func BestFusion(points []FusionPoint) (FusionPoint, bool) {
 
 // PartitionFusionGrid splits a budget grid into at most target
 // contiguous, non-empty, disjoint chunks covering every budget exactly
-// once — the fleet coordinator's shard unit for fusion sweeps (the
-// granularity axis stays whole per shard; partitionings at one budget
-// share the scheduler's member re-tunes).
+// once — the fleet coordinator's shard unit for fusion sweeps. The
+// granularity axis stays whole per shard, because the partitionings at
+// one budget share one RunFusedCaps: its mappings, re-tunes and
+// interval prices.
 func PartitionFusionGrid(grid []int64, target int) [][]int64 {
 	if len(grid) == 0 {
 		return nil

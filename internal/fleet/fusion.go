@@ -48,9 +48,10 @@ type FusionResult struct {
 // SweepFusion partitions req's L2 budget grid, dispatches the shards
 // across the fleet's nodes with ring failover, and merges the results
 // into one sweep over the full (budget x granularity) plane. The
-// granularity axis stays whole per shard — partitionings at one budget
-// share a node's scheduler re-tunes, so splitting the budget axis is
-// the cache-friendly cut. SweepFusion blocks until every shard
+// granularity axis stays whole per shard: a node prices all caps of a
+// budget in one netsched.RunFusedCaps, which builds the budget's
+// mappings and interval prices once for every cap, so splitting the
+// budget axis is the cheap cut. SweepFusion blocks until every shard
 // completes, the context is cancelled, or a shard exhausts its rounds.
 func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*FusionResult, error) {
 	req = req.WithDefaults()
@@ -78,6 +79,13 @@ func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*Fusi
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	slots := newHostSlots(f.opts.Hosts, f.opts.InflightPerNode)
+
+	// Count the sweep and its shards before dispatch, as Sweep does, so
+	// Stats shows failed sweeps too.
+	f.mu.Lock()
+	f.sweeps++
+	f.shards += int64(len(chunks))
+	f.mu.Unlock()
 
 	var (
 		mu            sync.Mutex
@@ -134,6 +142,9 @@ func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*Fusi
 		go func(i int, sreq serve.FusionRequest, hash string) {
 			defer wg.Done()
 			resp, host, retries, err := f.dispatchFusion(ctx, slots, i, sreq)
+			f.mu.Lock()
+			f.redispatched += retries
+			f.mu.Unlock()
 			mu.Lock()
 			defer mu.Unlock()
 			redispatched += retries
@@ -193,11 +204,6 @@ func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*Fusi
 	if best, ok := dse.BestFusion(points); ok {
 		res.Best = &best
 	}
-	f.mu.Lock()
-	f.sweeps++
-	f.shards += int64(len(chunks))
-	f.redispatched += redispatched
-	f.mu.Unlock()
 	return res, nil
 }
 
@@ -242,6 +248,11 @@ func (f *Fleet) dispatchFusion(ctx context.Context, slots hostSlots, shard int, 
 			f.mu.Unlock()
 			if err == nil {
 				return resp, host, retries, nil
+			}
+			if ctx.Err() != nil {
+				// The sweep was cancelled under the attempt: not a
+				// failover, as in Sweep.
+				return nil, "", retries, ctx.Err()
 			}
 			if refused(err) {
 				return nil, "", retries, err

@@ -207,3 +207,31 @@ func TestSweepFusionEmptyGrid(t *testing.T) {
 		t.Fatal("unknown model swept successfully")
 	}
 }
+
+// TestSweepFusionFailureCounted checks that Stats counts a fusion sweep
+// that fails, as it counts a failed DSE sweep: the sweep, every chunk,
+// and the failovers tried before the sweep gave up.
+func TestSweepFusionFailureCounted(t *testing.T) {
+	hosts, servers, hc := newNodes(t, 2)
+	for _, s := range servers {
+		s.SetChaos(serve.Chaos{ErrorRate: 1, ErrorCode: http.StatusInternalServerError})
+	}
+	opts := fastFleet(hosts, hc)
+	opts.Rounds = 1
+	f, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	req := fusionFleetReq()
+	if _, err := f.SweepFusion(context.Background(), req); err == nil {
+		t.Fatal("fusion sweep against a failing fleet succeeded")
+	}
+	chunks := dse.PartitionFusionGrid(req.L2Grid, len(hosts)*opts.ShardsPerNode)
+	st := f.Stats()
+	if st.Sweeps != 1 || st.Shards != int64(len(chunks)) || st.Redispatched == 0 {
+		t.Fatalf("after a failed fusion sweep: sweeps %d, shards %d, redispatched %d; want 1, %d, > 0",
+			st.Sweeps, st.Shards, st.Redispatched, len(chunks))
+	}
+}

@@ -79,12 +79,7 @@ func (gp *GroupPlan) Writers(g *Graph) []int {
 }
 
 func writesOut(g *Graph, i, hi int) bool {
-	for _, c := range g.Outs[i] {
-		if c > hi {
-			return true
-		}
-	}
-	return len(g.Outs[i]) == 0
+	return g.geo[i].lastOut > hi
 }
 
 // fusibleOp reports whether the streaming contract covers the operator:
@@ -98,85 +93,38 @@ func fusibleOp(op tensor.OpType) bool {
 	return false
 }
 
-// extKey identifies the external tensor a member reads from producer p:
-// the producer's layer index, or -(member+1) when the member reads the
-// model input (each root reads its own input tensor).
-func extKey(member, p int) int {
-	if p < 0 {
-		return -(member + 1)
-	}
-	return p
-}
-
 // checkFusible validates the fusion legality of interval [lo, hi]:
 //
-//   - every member operator is windowed-spatial (fusibleOp);
+//   - every member is fusible (layerGeom.fusible: a windowed-spatial
+//     operator whose input channels equal the summed output channels of
+//     its producers, the concat contract);
 //   - all members repeat the same instance Count;
 //   - every member past the first is connected: an in-group producer, or
 //     an external producer tensor shared with an earlier member (the
 //     inception branch heads);
-//   - channel consistency: a member's input channels equal the summed
-//     output channels of its producers (the concat contract);
 //   - in-group edges are spatially composable: the consumer's input rows
 //     exceed the producer's output rows by at most R-1 (padding slack),
 //     and never fall short (no cropping); same for columns;
 //   - every writer shares the same output height and width, so one band
 //     index drives all of them.
 func checkFusible(g *Graph, lo, hi int) bool {
-	layers := g.Model.Layers
-	count := layers[lo].Count
-	extSeen := map[int]bool{}
+	count := g.geo[lo].count
 	var wOutY, wOutX int
 	for v := lo; v <= hi; v++ {
-		lv := layers[v].Layer
-		if !fusibleOp(lv.Op) || layers[v].Count != count {
+		lg := &g.geo[v]
+		if !lg.fusible || lg.count != count || lg.badIn >= lo {
 			return false
 		}
-		connected := v == lo
-		shares := false
-		for _, p := range g.Ins[v] {
-			if p >= lo {
-				connected = true
-				continue
-			}
-			if extSeen[extKey(v, p)] {
-				shares = true
-			}
-		}
-		if len(g.Ins[v]) == 0 && v != lo {
-			// A root inside the group reads its own model input: no
-			// shared tensor, no in-group producer.
+		if v != lo && lg.maxIn < lo && !sharesInput(g, v, lo) {
+			// No in-group producer and no external tensor shared with an
+			// earlier member (a root inside the group reads its own model
+			// input, which it shares with no one).
 			return false
 		}
-		if !connected && !shares {
-			return false
-		}
-		if len(g.Ins[v]) > 0 {
-			sum := 0
-			for _, p := range g.Ins[v] {
-				sum += outChannels(layers[p].Layer)
-			}
-			if sum != lv.Sizes.Get(tensor.C) {
-				return false
-			}
-		}
-		for _, p := range g.Ins[v] {
-			if p < lo {
-				extSeen[extKey(v, p)] = true
-				continue
-			}
-			lp := layers[p].Layer
-			dy := inRowsFor(lv, lv.OutY()) - lp.OutY()
-			dx := inColsFor(lv, lv.OutX()) - lp.OutX()
-			if dy < 0 || dy > lv.Sizes.Get(tensor.R)-1 ||
-				dx < 0 || dx > lv.Sizes.Get(tensor.S)-1 {
-				return false
-			}
-		}
-		if writesOut(g, v, hi) {
+		if lg.lastOut > hi {
 			if wOutY == 0 {
-				wOutY, wOutX = lv.OutY(), lv.OutX()
-			} else if lv.OutY() != wOutY || lv.OutX() != wOutX {
+				wOutY, wOutX = lg.outY, lg.outX
+			} else if lg.outY != wOutY || lg.outX != wOutX {
 				return false
 			}
 		}
@@ -184,43 +132,23 @@ func checkFusible(g *Graph, lo, hi int) bool {
 	return true
 }
 
-// inColsFor is inRowsFor along X.
-func inColsFor(l tensor.Layer, outCols int) int {
-	if outCols <= 0 {
-		return 0
-	}
-	return (outCols-1)*l.StrideX + l.Sizes.Get(tensor.S)
-}
-
-// needOutRows computes, backward over the interval, how many output rows
-// each member must produce so that every writer emits tileRows rows
-// (clamped to each member's output height). Index i of the returned
-// slice is member lo+i.
-func needOutRows(g *Graph, lo, hi, tileRows int) []int {
-	layers := g.Model.Layers
-	need := make([]int, hi-lo+1)
-	for v := hi; v >= lo; v-- {
-		lv := layers[v].Layer
-		rows := 0
-		if writesOut(g, v, hi) {
-			rows = min(tileRows, lv.OutY())
+// sharesInput reports whether member v of a group starting at lo reads
+// an external producer that an earlier member also reads.
+func sharesInput(g *Graph, v, lo int) bool {
+	for _, p := range g.Ins[v] {
+		if p >= lo {
+			break
 		}
-		for _, c := range g.Outs[v] {
-			if c > hi {
-				continue
+		for _, c := range g.Outs[p] {
+			if c >= v {
+				break
 			}
-			lc := layers[c].Layer
-			in := inRowsFor(lc, need[c-lo])
-			if in > lv.OutY() {
-				in = lv.OutY()
-			}
-			if in > rows {
-				rows = in
+			if c >= lo {
+				return true
 			}
 		}
-		need[v-lo] = rows
 	}
-	return need
+	return false
 }
 
 // groupCost is one interval's evaluated plan.
@@ -241,8 +169,65 @@ type groupCost struct {
 	writesPI       int64
 
 	retained, peak int64
-	externals      []int
 	cost           int64 // (reads+writes) x count — the DP objective
+}
+
+// extTensor is one distinct external tensor an interval reads: a
+// producer layer index, or -(member+1) for a member reading the model
+// input (each root reads its own input tensor).
+type extTensor struct {
+	key     int
+	rowEl   int64
+	density float64
+	limit   int // rows the tensor has
+	// rows is the most rows any member reads: of the whole output for
+	// the claims, of one band for the footprint.
+	rows int
+}
+
+// extRead is one member's read of an external tensor.
+type extRead struct {
+	member, ext int
+}
+
+// loadExternals lists the external tensors of [lo, hi] in first-read
+// order into f.exts, and every member's read of one into f.reads.
+func (f *fuser) loadExternals(lo, hi int) {
+	g := f.g
+	f.exts, f.reads = f.exts[:0], f.reads[:0]
+	for v := lo; v <= hi; v++ {
+		if len(g.Ins[v]) == 0 {
+			lg := &g.geo[v]
+			f.reads = append(f.reads, extRead{v, len(f.exts)})
+			f.exts = append(f.exts, extTensor{key: -(v + 1), rowEl: lg.inRowEl, density: lg.inDensity, limit: lg.inLimit})
+			continue
+		}
+	producers:
+		for _, p := range g.Ins[v] {
+			if p >= lo {
+				break
+			}
+			for e := range f.exts {
+				if f.exts[e].key == p {
+					f.reads = append(f.reads, extRead{v, e})
+					continue producers
+				}
+			}
+			lp := &g.geo[p]
+			f.reads = append(f.reads, extRead{v, len(f.exts)})
+			f.exts = append(f.exts, extTensor{key: p, rowEl: lp.outRowEl, density: lp.outDensity, limit: lp.outY})
+		}
+	}
+}
+
+// externals returns the keys of the interval's external tensors.
+func (f *fuser) externals(lo, hi int) []int {
+	f.loadExternals(lo, hi)
+	keys := make([]int, len(f.exts))
+	for i, e := range f.exts {
+		keys[i] = e.key
+	}
+	return keys
 }
 
 // fusedClaims prices a legal fused interval under the streaming
@@ -251,96 +236,83 @@ type groupCost struct {
 // when a producer beyond an (elided) downsampling boundary emits more
 // rows than the group reads — every member's weights are read once,
 // every writer's output is written once, and intermediates never touch
-// DRAM.
-func fusedClaims(g *Graph, lo, hi int) (actR, wR, actW int64, externals []int) {
-	layers := g.Model.Layers
-	extRows := map[int]int{}
+// DRAM. It reads the externals loadExternals listed.
+func (f *fuser) fusedClaims(lo, hi int) (actR, wR, actW int64) {
+	geo := f.g.geo
 	for v := lo; v <= hi; v++ {
-		lv := layers[v].Layer
-		wR += scaledElems(lv, tensor.Weight)
-		in := inRowsFor(lv, lv.OutY())
-		if len(g.Ins[v]) == 0 {
-			k := extKey(v, -1)
-			if in > extRows[k] {
-				extRows[k] = in
-			}
-			externals = appendKey(externals, k)
-		}
-		for _, p := range g.Ins[v] {
-			if p >= lo {
-				continue
-			}
-			if in > extRows[p] {
-				extRows[p] = in
-			}
-			externals = appendKey(externals, p)
-		}
-		if writesOut(g, v, hi) {
-			actW += scaledElems(lv, tensor.Output)
+		wR += geo[v].wElems
+		if geo[v].lastOut > hi {
+			actW += geo[v].outElems
 		}
 	}
-	for k, rows := range extRows {
-		rowEl, d, limit := g.extRowInfo(k)
-		if rows > limit {
-			rows = limit
-		}
-		actR += scaleRows(rows, rowEl, d)
+	for i := range f.exts {
+		f.exts[i].rows = 0
 	}
-	return actR, wR, actW, externals
+	for _, rd := range f.reads {
+		e := &f.exts[rd.ext]
+		e.rows = max(e.rows, geo[rd.member].fullIn)
+	}
+	for _, e := range f.exts {
+		actR += scaleRows(min(e.rows, e.limit), e.rowEl, e.density)
+	}
+	return actR, wR, actW
 }
 
-// appendKey appends k when absent (the external lists stay tiny).
-func appendKey(keys []int, k int) []int {
-	for _, have := range keys {
-		if have == k {
-			return keys
+// needOutRows computes, backward over the interval, how many output rows
+// each member must produce so that every writer emits tileRows rows
+// (clamped to each member's output height). Index i of the returned
+// slice (f.need, reused across calls) is member lo+i.
+func (f *fuser) needOutRows(lo, hi, tileRows int) []int {
+	g := f.g
+	need := f.need[:hi-lo+1]
+	for v := hi; v >= lo; v-- {
+		lg := &g.geo[v]
+		rows := 0
+		if lg.lastOut > hi {
+			rows = min(tileRows, lg.outY)
 		}
+		for _, c := range g.Outs[v] {
+			if c > hi {
+				break
+			}
+			rows = max(rows, min(g.geo[c].inRows(need[c-lo]), lg.outY))
+		}
+		need[v-lo] = rows
 	}
-	return append(keys, k)
+	return need
 }
 
 // footprint returns the L2 bytes a fused interval needs at band height
 // tileRows, split into the parts the group-level scheduler trades off:
 // the sliding windows of intermediates and external inputs (the
 // retained tensors — exactly the rows one band needs, since a window
-// both fills and drains within its band), the resident weight total,
-// and one output band per writer. Member staging is priced separately
-// (stagingBytes) since it depends on which mapping the members run.
-func (f *fuser) footprint(lo, hi, tileRows int) (retained, weights, outBands int64) {
-	g, eb := f.g, f.eb
-	layers := g.Model.Layers
-	needT := needOutRows(g, lo, hi, tileRows)
-
-	extRows := map[int]int{} // ext key -> producer rows needed per band
+// both fills and drains within its band) and one output band per
+// writer. The resident weights do not depend on the band height, and
+// member staging depends on which mapping the members run
+// (stagingBytes), so both are priced by the caller. It reads the
+// externals loadExternals listed.
+func (f *fuser) footprint(lo, hi, tileRows int) (retained, outBands int64) {
+	geo, eb := f.g.geo, f.eb
+	need := f.needOutRows(lo, hi, tileRows)
 	for v := lo; v <= hi; v++ {
-		lv := layers[v].Layer
-		weights += scaledElems(lv, tensor.Weight) * eb
-		if writesOut(g, v, hi) {
-			outBands += int64(min(tileRows, lv.OutY())) * outRowElems(lv) * eb
+		lg := &geo[v]
+		if lg.lastOut > hi {
+			outBands += int64(min(tileRows, lg.outY)) * lg.outRowEl * eb
 		} else {
-			retained += int64(needT[v-lo]) * outRowElems(lv) * eb
-		}
-		in := inRowsFor(lv, needT[v-lo])
-		if len(g.Ins[v]) == 0 {
-			k := extKey(v, -1)
-			if in > extRows[k] {
-				extRows[k] = in
-			}
-		}
-		for _, p := range g.Ins[v] {
-			if p < lo && in > extRows[p] {
-				extRows[p] = in
-			}
+			retained += int64(need[v-lo]) * lg.outRowEl * eb
 		}
 	}
-	for k, rows := range extRows {
-		rowEl, _, limit := g.extRowInfo(k)
-		if rows > limit {
-			rows = limit
-		}
-		retained += int64(rows) * rowEl * eb
+	for i := range f.exts {
+		f.exts[i].rows = 0
 	}
-	return retained, weights, outBands
+	for _, rd := range f.reads {
+		e := &f.exts[rd.ext]
+		e.rows = max(e.rows, geo[rd.member].inRows(need[rd.member-lo]))
+	}
+	for _, e := range f.exts {
+		retained += int64(min(e.rows, e.limit)) * e.rowEl * eb
+	}
+	return retained, outBands
 }
 
 // stagingBytes returns the widest member staging requirement under the
@@ -360,22 +332,15 @@ func (f *fuser) stagingBytes(lo, hi int) (compact, ms int64) {
 	return compact, ms
 }
 
-// tileCandidates returns the band heights to try, largest first: the
-// full output height halved down to one row.
-func tileCandidates(rows int) []int {
-	var c []int
-	for t := rows; t > 1; t = (t + 1) / 2 {
-		c = append(c, t)
-	}
-	return append(c, 1)
-}
-
-// fuser evaluates interval costs for the DP partitioner.
+// fuser evaluates interval costs for the DP partitioner. One fuser
+// serves every granularity cap of a budget: the per-layer mappings,
+// re-tunes and singleton costs are built once, and with more than one
+// cap every interval is priced once into memo.
 type fuser struct {
 	g       *Graph
 	cfg     hw.Config
 	eb      int64
-	opt     FuseOptions
+	opt     Options
 	results []*core.Result
 	dfs     []dataflow.Dataflow
 	// compact caches low-staging re-tunes for fused members; ms the
@@ -384,6 +349,20 @@ type fuser struct {
 	compactDF []dataflow.Dataflow
 	ms        []*core.Result
 	msDF      []dataflow.Dataflow
+	// single holds every layer's singleton cost.
+	single []groupCost
+	// memo, when set, holds the cost of interval [lo, hi] at
+	// hi*width + hi-lo, for every interval of at most width layers.
+	memo  []groupCost
+	width int
+
+	// Scratch reused across interval evaluations: the current
+	// interval's external tensors and their reads, the per-member band
+	// rows, and the last unmemoized cost.
+	exts    []extTensor
+	reads   []extRead
+	need    []int
+	scratch groupCost
 }
 
 // compactMapping returns the mapping a layer runs inside a fused group.
@@ -488,9 +467,19 @@ func (f *fuser) singletonCost(i int) groupCost {
 // infeasible when illegal or when no band height fits in L2. Among the
 // feasible (band height, weight residency) variants the cheapest claim
 // wins, fewest bands on ties.
+//
+// The band heights are tried largest first (the writers' full output
+// height, halved down to one row), each weight-resident before
+// streaming, and the search stops at the first feasible resident
+// variant. Nothing after it can win: a resident claim does not depend
+// on the band height, a streaming claim re-reads the weights once per
+// band so it is never below the resident one, and smaller bands never
+// mean fewer of them. Every later variant therefore costs at least as
+// much as that resident one with at least as many bands, so it cannot
+// beat the best found so far, which is no worse on either count.
 func (f *fuser) intervalCost(lo, hi int) groupCost {
 	if lo == hi {
-		return f.singletonCost(lo)
+		return f.single[lo]
 	}
 	if f.opt.L2Bytes <= 0 || !checkFusible(f.g, lo, hi) {
 		return groupCost{}
@@ -498,19 +487,24 @@ func (f *fuser) intervalCost(lo, hi int) groupCost {
 	var wOutY int
 	for v := lo; v <= hi; v++ {
 		if writesOut(f.g, v, hi) {
-			wOutY = f.g.Model.Layers[v].Layer.OutY()
+			wOutY = f.g.geo[v].outY
 			break
 		}
 	}
-	actR, wElems, actW, ext := fusedClaims(f.g, lo, hi)
-	count := int64(f.g.Model.Layers[lo].Count)
+	f.loadExternals(lo, hi)
+	actR, wElems, actW := f.fusedClaims(lo, hi)
+	weights := wElems * f.eb
+	count := int64(f.g.geo[lo].count)
 	stC, stMS := f.stagingBytes(lo, hi)
 	var best groupCost
-	for _, t := range tileCandidates(wOutY) {
-		retained, weights, outBands := f.footprint(lo, hi, t)
+	for t, last := wOutY, false; !last; t = (t + 1) / 2 {
+		if t <= 1 {
+			t, last = 1, true
+		}
+		retained, outBands := f.footprint(lo, hi, t)
 		base := retained + outBands
 		bands := (wOutY + t - 1) / t
-		for _, resident := range []bool{true, false} {
+		for _, resident := range [2]bool{true, false} {
 			peak, wR := base, wElems
 			if resident {
 				peak += weights
@@ -528,54 +522,70 @@ func (f *fuser) intervalCost(lo, hi int) groupCost {
 				continue
 			}
 			cost := (actR + wR + actW) * count
-			if best.feasible && (cost > best.cost || (cost == best.cost && bands >= best.bands)) {
-				continue
+			if !best.feasible || cost < best.cost || (cost == best.cost && bands < best.bands) {
+				best = groupCost{
+					feasible: true, fused: true,
+					tile: t, bands: bands, weightsResident: resident,
+					msMembers: msUsed,
+					actR:      actR, wR: wR, actW: actW,
+					readsPI: actR + wR, writesPI: actW,
+					retained: retained, peak: peak,
+					cost: cost,
+				}
 			}
-			best = groupCost{
-				feasible: true, fused: true,
-				tile: t, bands: bands, weightsResident: resident,
-				msMembers: msUsed,
-				actR:      actR, wR: wR, actW: actW,
-				readsPI: actR + wR, writesPI: actW,
-				retained: retained, peak: peak,
-				externals: ext,
-				cost:      cost,
+			if resident {
+				return best
 			}
 		}
 	}
 	return best
 }
 
-// partitionDAG finds the contiguous partition of the layer list that
-// minimizes total claimed DRAM traffic by interval DP. Because a fused
-// interval's claim is independent of L2Bytes while its feasible set only
-// grows with it, and singleton claims are non-increasing in L2Bytes, the
-// optimum is monotonically non-increasing in L2Bytes.
-func partitionDAG(f *fuser) []groupSpan {
-	n := len(f.g.Model.Layers)
-	maxLen := f.opt.MaxGroupLayers
-	if maxLen <= 0 {
-		maxLen = 8
+// cost returns interval [lo, hi]'s cost: from the memo table when the
+// fuser serves several caps, else freshly priced into f.scratch.
+func (f *fuser) cost(lo, hi int) *groupCost {
+	if f.memo != nil {
+		return &f.memo[hi*f.width+hi-lo]
 	}
+	f.scratch = f.intervalCost(lo, hi)
+	return &f.scratch
+}
+
+// fillMemo prices every interval of at most width layers once.
+func (f *fuser) fillMemo(width int) {
+	n := len(f.g.geo)
+	f.width = width
+	f.memo = make([]groupCost, n*width)
+	for hi := 0; hi < n; hi++ {
+		for lo := hi; lo >= 0 && hi-lo < width; lo-- {
+			f.memo[hi*width+hi-lo] = f.intervalCost(lo, hi)
+		}
+	}
+}
+
+// partitionDAG finds the contiguous partition of the layer list into
+// groups of at most maxLen layers that minimizes total claimed DRAM
+// traffic by interval DP. Because a fused interval's claim is
+// independent of L2Bytes while its feasible set only grows with it, and
+// singleton claims are non-increasing in L2Bytes, the optimum is
+// monotonically non-increasing in L2Bytes.
+func partitionDAG(f *fuser, maxLen int) []groupSpan {
+	n := len(f.g.geo)
 	const inf = int64(1) << 62
 	dp := make([]int64, n+1)
 	choice := make([]int, n+1)
 	costs := make([]groupCost, n+1)
 	for j := 1; j <= n; j++ {
 		dp[j] = inf
-		lo := j - maxLen
-		if lo < 0 {
-			lo = 0
-		}
-		for i := lo; i < j; i++ {
-			c := f.intervalCost(i, j-1)
+		for i := max(0, j-maxLen); i < j; i++ {
+			c := f.cost(i, j-1)
 			if !c.feasible || dp[i] >= inf {
 				continue
 			}
 			if dp[i]+c.cost < dp[j] {
 				dp[j] = dp[i] + c.cost
 				choice[j] = i
-				costs[j] = c
+				costs[j] = *c
 			}
 		}
 	}

@@ -1,11 +1,13 @@
 package netsched
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/dataflows"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -298,4 +300,121 @@ func TestOverlappingResidualsHeldOnce(t *testing.T) {
 	if two.Plans[1].HeldBytes != want {
 		t.Errorf("held %d bytes, want one copy = %d", two.Plans[1].HeldBytes, want)
 	}
+}
+
+// TestIntervalCostMatchesOracle prices every interval of at most eight
+// layers of every zoo model — under KC-P, YR-P, X-P and the tuner, at
+// 64 KiB, 256 KiB and 1 MiB — and checks legality, cost and external
+// tensors against the map-based oracle in oracle_test.go. The goldens
+// pin only the intervals a schedule picks; this pins every one.
+func TestIntervalCostMatchesOracle(t *testing.T) {
+	fused := 0
+	for _, name := range models.Zoo() {
+		m, ok := models.ByName(name)
+		if !ok {
+			t.Fatalf("zoo model %s not found", name)
+		}
+		for _, dfName := range []string{"KC-P", "YR-P", "X-P", "tuned"} {
+			var opt Options
+			if dfName != "tuned" {
+				df := dataflows.Get(dfName)
+				opt.Dataflow = func(tensor.Layer) (dataflow.Dataflow, bool) { return df, true }
+			}
+			for _, l2 := range []int64{64 << 10, 256 << 10, 1 << 20} {
+				opt.L2Bytes = l2
+				f, err := newFuser(m, hw.Accel256(), opt)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, dfName, err)
+				}
+				for hi := range m.Layers {
+					for lo := hi; lo >= 0 && hi-lo < 8; lo-- {
+						at := fmt.Sprintf("%s/%s/%d [%d,%d]", name, dfName, l2, lo, hi)
+						if lo < hi && checkFusible(f.g, lo, hi) != oracleCheckFusible(f.g, lo, hi) {
+							t.Fatalf("%s: checkFusible disagrees with the oracle", at)
+						}
+						got := f.intervalCost(lo, hi)
+						want, ext := oracleIntervalCost(f, lo, hi)
+						if got != want {
+							t.Fatalf("%s:\ngot  %+v\nwant %+v", at, got, want)
+						}
+						if got.fused {
+							fused++
+							if keys := f.externals(lo, hi); !reflect.DeepEqual(keys, ext) {
+								t.Fatalf("%s: externals %v, oracle %v", at, keys, ext)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fused == 0 {
+		t.Fatal("no interval fused: the fused pricing went unchecked")
+	}
+	t.Logf("%d fused intervals checked", fused)
+}
+
+// maxAllocsPerInterval bounds what RunFused allocates per multi-layer
+// interval its DP prices: the allocations a schedule at MaxGroupLayers 8
+// makes beyond the same schedule at MaxGroupLayers 1 (which prices
+// singletons only), over the intervals the larger cap adds. Pricing an
+// interval allocates nothing; a larger cap adds one external-tensor
+// list per fused group, and a fused group spans several intervals. The
+// bound is taken over the whole zoo, so the per-layer pricing's pooled
+// scratch, which the race detector's pool sometimes drops, averages out.
+const maxAllocsPerInterval = 0.25
+
+// TestRunFusedAllocsPerInterval checks that the partition DP allocates
+// per layer and per group, never per interval it prices: on every zoo
+// model under KC-P, YR-P and X-P at 256 KiB, pricing every interval of
+// at most eight layers allocates nothing, and RunFused stays within
+// maxAllocsPerInterval.
+func TestRunFusedAllocsPerInterval(t *testing.T) {
+	cfg := hw.Accel256()
+	var added, intervals float64
+	for _, name := range models.Zoo() {
+		m, ok := models.ByName(name)
+		if !ok {
+			t.Fatalf("zoo model %s not found", name)
+		}
+		n := len(m.Layers)
+		for _, dfName := range []string{"KC-P", "YR-P", "X-P"} {
+			df := dataflows.Get(dfName)
+			opt := Options{L2Bytes: 256 << 10, Dataflow: func(tensor.Layer) (dataflow.Dataflow, bool) { return df, true }}
+			f, err := newFuser(m, cfg, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, dfName, err)
+			}
+			priced := 0
+			price := func() {
+				priced = 0
+				for hi := 0; hi < n; hi++ {
+					for lo := hi; lo >= 0 && hi-lo < 8; lo-- {
+						f.intervalCost(lo, hi)
+						priced++
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(2, price); a != 0 {
+				t.Errorf("%s/%s: pricing %d intervals allocated %.0f times, want none", name, dfName, priced, a)
+			}
+			schedule := func(cap int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := RunFused(m, cfg, FuseOptions{Options: opt, MaxGroupLayers: cap}); err != nil {
+						t.Fatalf("%s/%s: %v", name, dfName, err)
+					}
+				})
+			}
+			added += schedule(8) - schedule(1)
+			intervals += float64(priced - n)
+		}
+	}
+	if intervals == 0 {
+		t.Fatal("no multi-layer interval priced")
+	}
+	perInterval := added / intervals
+	if perInterval > maxAllocsPerInterval {
+		t.Errorf("RunFused allocates %.3f per multi-layer interval priced, want <= %v", perInterval, maxAllocsPerInterval)
+	}
+	t.Logf("%.0f multi-layer intervals; %.3f allocations each", intervals, perInterval)
 }

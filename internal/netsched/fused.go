@@ -52,6 +52,57 @@ func (s *FusedSchedule) FusedGroups() int {
 // skip connections belong in the model's Edges, where the partitioner
 // sees them.
 func RunFused(m models.Model, cfg hw.Config, opt FuseOptions) (*FusedSchedule, error) {
+	s, err := RunFusedCaps(m, cfg, opt.Options, []int{opt.MaxGroupLayers})
+	if err != nil {
+		return nil, err
+	}
+	return s[0], nil
+}
+
+// RunFusedCaps schedules the model at one budget under each
+// MaxGroupLayers cap in caps, returning one schedule per cap, each
+// equal to RunFused's at that cap. The graph, the per-layer mappings
+// and re-tunes, and the per-layer baseline are built once; with more
+// than one cap every interval up to the largest cap is priced once and
+// the partition DP runs per cap over those prices.
+func RunFusedCaps(m models.Model, cfg hw.Config, opt Options, caps []int) ([]*FusedSchedule, error) {
+	f, err := newFuser(m, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	var baseDRAM, baseAct int64
+	for i, sc := range f.single {
+		baseDRAM += sc.cost
+		baseAct += (sc.actR + sc.actW) * int64(m.Layers[i].Count)
+	}
+	// A cap at or above the layer count admits every interval; a
+	// non-positive cap means RunFused's default of 8.
+	n := len(m.Layers)
+	lens := make([]int, len(caps))
+	width := 0
+	for k, c := range caps {
+		if c <= 0 {
+			c = 8
+		}
+		lens[k] = min(c, n)
+		width = max(width, lens[k])
+	}
+	if len(caps) > 1 {
+		f.fillMemo(width)
+	}
+	out := make([]*FusedSchedule, len(caps))
+	for k := range caps {
+		s := &FusedSchedule{Model: m, L2Bytes: opt.L2Bytes, BaselineDRAM: baseDRAM, BaselineAct: baseAct}
+		f.assemble(s, partitionDAG(f, lens[k]))
+		out[k] = s
+	}
+	return out, nil
+}
+
+// newFuser validates the schedule inputs and builds what every cap of
+// the budget shares: the graph, each layer's mapping, and each layer's
+// singleton cost.
+func newFuser(m models.Model, cfg hw.Config, opt Options) (*fuser, error) {
 	cfg = cfg.Normalize()
 	if opt.L2Bytes < 0 {
 		return nil, fmt.Errorf("netsched: negative L2Bytes %d", opt.L2Bytes)
@@ -61,38 +112,48 @@ func RunFused(m models.Model, cfg hw.Config, opt FuseOptions) (*FusedSchedule, e
 		return nil, err
 	}
 	n := len(m.Layers)
-	results := make([]*core.Result, n)
-	dfs := make([]dataflow.Dataflow, n)
+	f := &fuser{
+		g: g, cfg: cfg, eb: elemBytes(cfg), opt: opt,
+		results: make([]*core.Result, n),
+		dfs:     make([]dataflow.Dataflow, n),
+		single:  make([]groupCost, n),
+		need:    make([]int, n),
+	}
 	for i, li := range m.Layers {
-		df, r, err := chooseMapping(li.Layer, cfg, opt.Options)
+		df, r, err := chooseMapping(li.Layer, cfg, opt)
 		if err != nil {
 			return nil, fmt.Errorf("layer %s: %w", li.Layer.Name, err)
 		}
-		results[i], dfs[i] = r, df
+		f.results[i], f.dfs[i] = r, df
 	}
-	f := &fuser{g: g, cfg: cfg, eb: elemBytes(cfg), opt: opt, results: results, dfs: dfs}
+	for i := range f.single {
+		f.single[i] = f.singletonCost(i)
+	}
+	return f, nil
+}
 
-	s := &FusedSchedule{Model: m, L2Bytes: opt.L2Bytes}
-	for i := 0; i < n; i++ {
-		sc := f.singletonCost(i)
-		s.BaselineDRAM += sc.cost
-		s.BaselineAct += (sc.actR + sc.actW) * int64(m.Layers[i].Count)
-	}
-	for _, sp := range partitionDAG(f) {
+// assemble fills s with the groups of a partition and their totals.
+func (f *fuser) assemble(s *FusedSchedule, spans []groupSpan) {
+	m := f.g.Model
+	s.Groups = make([]GroupPlan, 0, len(spans))
+	for _, sp := range spans {
 		c := sp.cost
 		count := int64(m.Layers[sp.lo].Count)
 		gp := GroupPlan{
 			Lo: sp.lo, Hi: sp.hi, Fused: c.fused,
 			Count:    m.Layers[sp.lo].Count,
 			TileRows: c.tile, Bands: c.bands, WeightsResident: c.weightsResident,
-			Externals: c.externals,
-			ActReads:  c.actR, WeightReads: c.wR, ActWrites: c.actW,
+			ActReads: c.actR, WeightReads: c.wR, ActWrites: c.actW,
 			DRAMReads: c.readsPI, DRAMWrites: c.writesPI,
 			RetainedBytes: c.retained, L2PeakBytes: c.peak,
+			Members: make([]MemberPlan, 0, sp.hi-sp.lo+1),
+		}
+		if c.fused {
+			gp.Externals = f.externals(sp.lo, sp.hi)
 		}
 		for v := sp.lo; v <= sp.hi; v++ {
 			nInst := int64(m.Layers[v].Count)
-			r, df := results[v], dfs[v]
+			r, df := f.results[v], f.dfs[v]
 			if c.fused {
 				// Fused members run the mapping the capacity check
 				// admitted: the compact re-tune, or the minimal-staging
@@ -117,9 +178,8 @@ func RunFused(m models.Model, cfg hw.Config, opt FuseOptions) (*FusedSchedule, e
 	}
 	s.DRAMSaved = s.BaselineDRAM - s.DRAMTraffic
 	// The DRAM link bounds the end-to-end runtime, as in Run.
-	dramDelay := int64(float64(s.DRAMTraffic)/cfg.OffchipBandwidth + 0.999999)
+	dramDelay := int64(float64(s.DRAMTraffic)/f.cfg.OffchipBandwidth + 0.999999)
 	if dramDelay > s.TotalCycles {
 		s.TotalCycles = dramDelay
 	}
-	return s, nil
 }

@@ -1,6 +1,7 @@
 package netsched
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -12,7 +13,8 @@ import (
 // dangling edges, zero-size tensors, absurd budgets — at the graph
 // scheduler. The invariants: never panic; a returned schedule never
 // claims more retained bytes than the budget; every fused group passes
-// the legality check (no fusing across an invalid edge).
+// the legality check (no fusing across an invalid edge); one shared
+// RunFusedCaps over caps {1, 2, 3, 8} equals a separate RunFused per cap.
 func FuzzPartitionDAG(f *testing.F) {
 	f.Add([]byte{3, 0, 16, 8, 1, 16, 8, 2, 16, 8, 0, 1, 1, 2}, int64(64<<10))
 	f.Add([]byte{4, 1, 8, 4, 1, 8, 4, 1, 8, 4, 1, 8, 4, 0, 1, 0, 2, 1, 3, 2, 3}, int64(256<<10))
@@ -68,12 +70,26 @@ func FuzzPartitionDAG(f *testing.F) {
 			pos += 2
 		}
 
-		s, err := RunFused(m, hw.Accel256(), FuseOptions{Options: Options{
-			Dataflow: fixedKCP,
-			L2Bytes:  l2,
-		}})
+		opt := Options{Dataflow: fixedKCP, L2Bytes: l2}
+		s, err := RunFused(m, hw.Accel256(), FuseOptions{Options: opt})
+		// One shared run over several caps answers exactly what a
+		// separate RunFused answers at each cap, rejections included.
+		caps := []int{1, 2, 3, 8}
+		shared, sharedErr := RunFusedCaps(m, hw.Accel256(), opt, caps)
+		if (err == nil) != (sharedErr == nil) {
+			t.Fatalf("RunFused error %v, shared run error %v", err, sharedErr)
+		}
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
+		}
+		for k, c := range caps {
+			one, err := RunFused(m, hw.Accel256(), FuseOptions{Options: opt, MaxGroupLayers: c})
+			if err != nil {
+				t.Fatalf("cap %d: %v", c, err)
+			}
+			if !reflect.DeepEqual(shared[k], one) {
+				t.Fatalf("cap %d: shared run differs from a separate RunFused\nshared   %+v\nseparate %+v", c, shared[k], one)
+			}
 		}
 		g, err := BuildGraph(m)
 		if err != nil {

@@ -20,6 +20,50 @@ type Graph struct {
 	// consumers of layer i's output, ascending.
 	Ins  [][]int
 	Outs [][]int
+
+	// geo holds each layer's shape facts, derived once here so the
+	// fusion scheduler's interval pricing reads flat fields instead of
+	// re-deriving them from tensor.Layer on every call.
+	geo []layerGeom
+}
+
+// layerGeom is one layer's shape facts as the fusion scheduler reads
+// them. Row counts are in the layer's own output (or, for the model
+// input, input) coordinates.
+type layerGeom struct {
+	count int
+	// fusible: a windowed-spatial operator (fusibleOp) whose input
+	// channels equal the summed output channels of its producers (the
+	// concat contract).
+	fusible    bool
+	outY, outX int
+	r, strideY int
+	// fullIn is the input rows the whole output needs.
+	fullIn int
+	// maxIn is the largest producer index (-1 for a root); badIn the
+	// largest producer whose edge is not spatially composable (-1 when
+	// every edge is). lastOut is the largest consumer index, or the
+	// layer count when the output leaves the model: layer i writes out
+	// of a group ending at hi exactly when lastOut > hi.
+	maxIn, badIn, lastOut int
+	// wElems and outElems are the density-scaled weight and output
+	// element counts; outRowEl the dense elements of one output row.
+	wElems, outElems int64
+	outRowEl         int64
+	outDensity       float64
+	// inRowEl, inDensity and inLimit describe the model input a root
+	// reads: dense elements per row, density, and row count.
+	inRowEl   int64
+	inDensity float64
+	inLimit   int
+}
+
+// inRows is inRowsFor over the cached geometry.
+func (lg *layerGeom) inRows(outRows int) int {
+	if outRows <= 0 {
+		return 0
+	}
+	return (outRows-1)*lg.strideY + lg.r
 }
 
 // BuildGraph validates the model's activation DAG and materializes the
@@ -53,6 +97,42 @@ func BuildGraph(m models.Model) (*Graph, error) {
 	for i := range g.Ins {
 		sort.Ints(g.Ins[i])
 		sort.Ints(g.Outs[i])
+	}
+	g.geo = make([]layerGeom, n)
+	for i, li := range m.Layers {
+		l := li.Layer
+		lg := &g.geo[i]
+		lg.count = li.Count
+		lg.outY, lg.outX = l.OutY(), l.OutX()
+		lg.r, lg.strideY = l.Sizes.Get(tensor.R), l.StrideY
+		lg.fullIn = inRowsFor(l, lg.outY)
+		lg.wElems = scaledElems(l, tensor.Weight)
+		lg.outElems = scaledElems(l, tensor.Output)
+		lg.outRowEl = outRowElems(l)
+		lg.outDensity = l.Density[tensor.Output]
+		lg.inLimit, lg.inDensity = l.Sizes.Get(tensor.Y), l.Density[tensor.Input]
+		if lg.inLimit != 0 {
+			lg.inRowEl = l.TensorSize(tensor.Input) / int64(lg.inLimit)
+		}
+		lg.maxIn, lg.badIn, lg.lastOut = -1, -1, n
+		if outs := g.Outs[i]; len(outs) > 0 {
+			lg.lastOut = outs[len(outs)-1]
+		}
+		channels := 0
+		for _, p := range g.Ins[i] {
+			lp := m.Layers[p].Layer
+			channels += outChannels(lp)
+			lg.maxIn = p
+			// The consumer's input rows may exceed the producer's output
+			// rows by at most R-1 (padding slack) and never fall short
+			// (no cropping); the same along X.
+			dy := lg.fullIn - lp.OutY()
+			dx := inColsFor(l, lg.outX) - lp.OutX()
+			if dy < 0 || dy > lg.r-1 || dx < 0 || dx > l.Sizes.Get(tensor.S)-1 {
+				lg.badIn = p
+			}
+		}
+		lg.fusible = fusibleOp(l.Op) && (len(g.Ins[i]) == 0 || channels == l.Sizes.Get(tensor.C))
 	}
 	return g, nil
 }
@@ -111,21 +191,12 @@ func inRowsFor(l tensor.Layer, outRows int) int {
 	return (outRows-1)*l.StrideY + l.Sizes.Get(tensor.R)
 }
 
-// extRowInfo resolves an external-tensor key (a producer layer index,
-// or -(member+1) for a member reading the model input) to its dense
-// row element count, density, and row limit.
-func (g *Graph) extRowInfo(key int) (rowEl int64, density float64, limit int) {
-	if key < 0 {
-		l := g.Model.Layers[-key-1].Layer
-		limit = l.Sizes.Get(tensor.Y)
-		if limit == 0 {
-			return 0, l.Density[tensor.Input], 0
-		}
-		return l.TensorSize(tensor.Input) / int64(limit), l.Density[tensor.Input], limit
+// inColsFor is inRowsFor along X.
+func inColsFor(l tensor.Layer, outCols int) int {
+	if outCols <= 0 {
+		return 0
 	}
-	l := g.Model.Layers[key].Layer
-	limit = l.OutY()
-	return outRowElems(l), l.Density[tensor.Output], limit
+	return (outCols-1)*l.StrideX + l.Sizes.Get(tensor.S)
 }
 
 // scaleRows prices rows x rowEl dense elements at density d with the

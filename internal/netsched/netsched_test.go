@@ -29,8 +29,12 @@ func chain() models.Model {
 	}}
 }
 
+// kcp is KC-P parsed once, so the schedules and benchmarks below time
+// the scheduler rather than the dataflow parser.
+var kcp = dataflows.Get("KC-P")
+
 func fixedKCP(tensor.Layer) (dataflow.Dataflow, bool) {
-	return dataflows.Get("KC-P"), true
+	return kcp, true
 }
 
 func TestResidencySavesDRAM(t *testing.T) {

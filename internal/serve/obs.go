@@ -43,7 +43,8 @@ func requestID(r *http.Request) string {
 	return hex.EncodeToString(b[:])
 }
 
-// endpointOf maps a request path to its metrics label.
+// endpointOf maps a request path to its metrics label: one per route
+// Handler mounts, "other" for any path it does not.
 func endpointOf(path string) string {
 	switch path {
 	case "/v1/analyze":
@@ -52,6 +53,8 @@ func endpointOf(path string) string {
 		return "batch"
 	case "/v1/dse":
 		return "dse"
+	case "/v1/fusion":
+		return "fusion"
 	case "/v1/models":
 		return "models"
 	case "/v1/status":

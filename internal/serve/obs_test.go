@@ -357,3 +357,46 @@ func TestDebugTraceValidation(t *testing.T) {
 	}
 	<-done
 }
+
+// TestEndpointLabels checks the latency label of every route Handler
+// mounts, with the optional routes on: each route has a label of its
+// own, only paths Handler does not mount fall into "other", and a
+// request on each route is observed under its label.
+func TestEndpointLabels(t *testing.T) {
+	s, ts := newTestServer(t, Options{DebugTrace: true})
+	owner := map[string]string{}
+	for _, rt := range s.routes() {
+		label := endpointOf(rt.path)
+		if label == "other" {
+			t.Errorf("route %s has no label of its own", rt.path)
+		}
+		if prev, dup := owner[label]; dup {
+			t.Errorf("routes %s and %s share the label %q", prev, rt.path, label)
+		}
+		owner[label] = rt.path
+		// POST answers at once on every route (405 or 400 where the
+		// route wants GET or a body); GET /debug/trace would hold a
+		// capture window open.
+		resp, err := http.Post(ts.URL+rt.path, "application/json", nil)
+		if err != nil {
+			t.Fatalf("POST %s: %v", rt.path, err)
+		}
+		resp.Body.Close()
+	}
+	for _, path := range []string{"/", "/v1", "/v1/", "/v1/fusion/", "/v1/nope", "/debug"} {
+		if got := endpointOf(path); got != "other" {
+			t.Errorf("unmounted path %s labelled %q, want other", path, got)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for label, path := range owner {
+		if want := `maestro_endpoint_seconds_count{endpoint="` + label + `"}`; !strings.Contains(string(body), want) {
+			t.Errorf("request on %s not observed: no %s", path, want)
+		}
+	}
+}

@@ -263,10 +263,26 @@ func (s *Server) Metrics() *Registry { return s.reg }
 // observability middleware (request IDs, access logs, span trees).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.path, rt.handle)
+	}
+	return s.instrument(s.chaosMiddleware(mux))
+}
+
+// route is one path Handler mounts.
+type route struct {
+	path   string
+	handle http.HandlerFunc
+}
+
+// routes lists the paths Handler mounts under this server's options.
+func (s *Server) routes() []route {
+	rs := []route{
+		{"/healthz", s.handleHealthz},
+		{"/metrics", s.handleMetrics},
+	}
 	if s.opts.DebugTrace {
-		mux.HandleFunc("/debug/trace", s.handleDebugTrace)
+		rs = append(rs, route{"/debug/trace", s.handleDebugTrace})
 	}
 	if s.segments != nil {
 		// Unlike /debug/trace (which captures *other* tenants' traffic
@@ -275,15 +291,16 @@ func (s *Server) Handler() http.Handler {
 		// so the endpoint is safe on the API surface, where fleet
 		// coordinators can reach it without extra configuration. It is
 		// mounted on the private debug listener too.
-		mux.HandleFunc("/debug/trace/segments", s.handleTraceSegments)
+		rs = append(rs, route{"/debug/trace/segments", s.handleTraceSegments})
 	}
-	mux.HandleFunc("/v1/status", s.handleStatus)
-	mux.HandleFunc("/v1/models", s.handleModels)
-	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/analyze/batch", s.handleBatch)
-	mux.HandleFunc("/v1/dse", s.handleDSE)
-	mux.HandleFunc("/v1/fusion", s.handleFusion)
-	return s.instrument(s.chaosMiddleware(mux))
+	return append(rs,
+		route{"/v1/status", s.handleStatus},
+		route{"/v1/models", s.handleModels},
+		route{"/v1/analyze", s.handleAnalyze},
+		route{"/v1/analyze/batch", s.handleBatch},
+		route{"/v1/dse", s.handleDSE},
+		route{"/v1/fusion", s.handleFusion},
+	)
 }
 
 // ---- plumbing ----
