@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-fleet soak-fleet serve clean
+.PHONY: all build vet test race fuzz bench bench-dse bench-serve bench-fleet soak-fleet serve clean
 
 all: vet build test
 
@@ -22,9 +22,10 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke over the parser targets, the batch-vs-sequential
-# pricing differential, the profile-key spelling invariance and the
-# traceparent header parser; the same list as CI's fuzz smoke (one
-# -fuzz per invocation, a Go toolchain constraint).
+# pricing differential, the profile-key spelling invariance, the
+# traceparent header parser and the analyze endpoints' bodies; the same
+# list as CI's fuzz smoke (one -fuzz per invocation, a Go toolchain
+# constraint).
 fuzz:
 	$(GO) test -fuzz=FuzzParseDataflow -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseNetwork -fuzztime=10s -run xxx ./internal/dataflow/
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzExtractTraceparent -fuzztime=10s -run xxx ./internal/obs/
 	$(GO) test -fuzz=FuzzPartitionDAG -fuzztime=10s -run xxx ./internal/netsched/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s -run xxx ./internal/fleet/
+	$(GO) test -fuzz=FuzzHandler -fuzztime=10s -run xxx ./internal/serve/
 
 # One pass over the figure/table benchmarks plus the service benchmarks.
 bench:
@@ -50,6 +52,12 @@ bench:
 # BENCH_dse.json.
 bench-dse:
 	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/
+
+# Served requests through Handler(): a cached and an uncached
+# /v1/analyze for two zoo layers and a fleet-shaped /v1/dse shard; the
+# measured numbers are recorded in BENCH_serve.json.
+bench-serve:
+	$(GO) test -bench BenchmarkHandler -benchmem -count 5 -run xxx ./internal/serve
 
 # Fleet scaling: 1/2/4 in-process nodes with injected per-shard service
 # time, then dispatch plus compute with nothing injected; the measured

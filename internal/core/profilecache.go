@@ -44,16 +44,7 @@ func profileKey(df dataflow.Dataflow, layer tensor.Layer, numPEs int) ProfileKey
 // stays so with further fields appended after it.
 func AppendProfileIdentity(b []byte, df dataflow.Dataflow, layer tensor.Layer, numPEs int) []byte {
 	b = binary.AppendVarint(b, int64(numPEs))
-	b = appendString(b, layer.Name)
-	b = append(b, byte(layer.Op))
-	for _, v := range layer.Sizes {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	b = binary.AppendVarint(b, int64(layer.StrideY))
-	b = binary.AppendVarint(b, int64(layer.StrideX))
-	for _, d := range layer.Density {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d))
-	}
+	b = AppendLayerIdentity(b, layer)
 	b = appendString(b, df.Name)
 
 	full := layer.Normalize().Sizes // Augment sizes implicit maps on the normalized layer
@@ -69,6 +60,23 @@ func AppendProfileIdentity(b []byte, df dataflow.Dataflow, layer tensor.Layer, n
 	}
 	b = appendImplicitMaps(b, mentioned, full)
 	return append(b, tagEnd)
+}
+
+// AppendLayerIdentity appends the raw layer fields, in the encoding of
+// AppendProfileIdentity: the name, the operator, the seven sizes, the
+// strides and the densities' IEEE-754 bits.
+func AppendLayerIdentity(b []byte, layer tensor.Layer) []byte {
+	b = appendString(b, layer.Name)
+	b = append(b, byte(layer.Op))
+	for _, v := range layer.Sizes {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = binary.AppendVarint(b, int64(layer.StrideY))
+	b = binary.AppendVarint(b, int64(layer.StrideX))
+	for _, d := range layer.Density {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d))
+	}
+	return b
 }
 
 // Directive record tags of the identity encoding.

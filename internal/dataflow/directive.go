@@ -11,6 +11,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/tensor"
@@ -157,6 +158,18 @@ func (d Directive) String() string {
 type Dataflow struct {
 	Name       string
 	Directives []Directive
+}
+
+// Clone returns a deep copy of the dataflow: changing the copy's
+// directives or their size terms leaves df untouched.
+func (df Dataflow) Clone() Dataflow {
+	out := Dataflow{Name: df.Name, Directives: make([]Directive, len(df.Directives))}
+	for i, d := range df.Directives {
+		d.Size.Terms = slices.Clone(d.Size.Terms)
+		d.Offset.Terms = slices.Clone(d.Offset.Terms)
+		out.Directives[i] = d
+	}
+	return out
 }
 
 // String renders the dataflow as a DSL Dataflow block body.

@@ -5,6 +5,8 @@
 package dataflows
 
 import (
+	"sync"
+
 	"repro/internal/dataflow"
 )
 
@@ -71,21 +73,35 @@ var Sources = map[string]string{
 // Names lists the dataflows in the paper's plotting order.
 var Names = []string{"C-P", "X-P", "YX-P", "YR-P", "KC-P"}
 
-// Get parses and returns the named Table 3 dataflow. Unknown names panic:
-// the definitions are compile-time constants of this package.
+// table3 parses Sources once. Each directive list is capped at its
+// length, so appending to a returned list copies rather than writing
+// into the shared array.
+var table3 = sync.OnceValue(func() map[string]dataflow.Dataflow {
+	out := make(map[string]dataflow.Dataflow, len(Sources))
+	for name, src := range Sources {
+		df, err := dataflow.ParseDataflow(name, src)
+		if err != nil {
+			panic("dataflows: bad built-in definition " + name + ": " + err.Error())
+		}
+		df.Directives = df.Directives[:len(df.Directives):len(df.Directives)]
+		out[name] = df
+	}
+	return out
+})
+
+// Get returns the named Table 3 dataflow, parsed once and shared by
+// every caller, so none may change it; a caller that edits one edits its
+// Clone. Unknown names panic: the definitions are compile-time constants
+// of this package.
 func Get(name string) dataflow.Dataflow {
-	src, ok := Sources[name]
+	df, ok := table3()[name]
 	if !ok {
 		panic("dataflows: unknown dataflow " + name)
-	}
-	df, err := dataflow.ParseDataflow(name, src)
-	if err != nil {
-		panic("dataflows: bad built-in definition " + name + ": " + err.Error())
 	}
 	return df
 }
 
-// All returns the five dataflows in plotting order.
+// All returns the five dataflows in plotting order, shared as Get's are.
 func All() []dataflow.Dataflow {
 	out := make([]dataflow.Dataflow, len(Names))
 	for i, n := range Names {

@@ -296,7 +296,8 @@ type shardRun struct {
 	route []string // failover order, preferred node first
 	// hash is the canonical hash of the shard's scoped request; it keys
 	// the shard's journal record, so a resumed sweep only replays a
-	// record into the exact same slice of the space.
+	// record into the exact same slice of the space. Empty when the
+	// sweep keeps no journal.
 	hash string
 
 	ctx    context.Context
@@ -527,15 +528,17 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 			PEMin: sh.PEs[0], PEMax: sh.PEs[len(sh.PEs)-1],
 			Mappings: []string{req.Template},
 		}
-		// The shard's journal key: its scoped request with the
-		// delivery-only knobs zeroed, so a retried sweep with a different
-		// timeout still resumes cleanly.
-		hreq := sreq
-		hreq.TimeoutMs = 0
-		hreq.NoCache = false
-		hash, err := canonicalHash(journalKindDSE, hreq)
-		if err != nil {
-			return nil, layer, fmt.Errorf("fleet: hashing shard request: %w", err)
+		// The shard's journal key, when journaling: its scoped request
+		// with the delivery-only knobs zeroed, so a retried sweep with a
+		// different timeout still resumes cleanly.
+		var hash string
+		if f.opts.CheckpointDir != "" {
+			hreq := sreq
+			hreq.TimeoutMs = 0
+			hreq.NoCache = false
+			if hash, err = canonicalHash(journalKindDSE, hreq); err != nil {
+				return nil, layer, fmt.Errorf("fleet: hashing shard request: %w", err)
+			}
 		}
 		runs = append(runs, &shardRun{
 			shard: sh,

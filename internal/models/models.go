@@ -11,6 +11,7 @@ package models
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -427,11 +428,24 @@ func Zoo() []string {
 	return names
 }
 
-// ByName builds the named zoo model; ok is false for unknown names.
-func ByName(name string) (Model, bool) {
-	ctor, ok := registry[name]
-	if !ok {
-		return Model{}, false
+// zoo builds every registry model once. Layer and edge lists are capped
+// at their lengths, so appending to a returned list copies rather than
+// writing into the shared array.
+var zoo = sync.OnceValue(func() map[string]Model {
+	out := make(map[string]Model, len(registry))
+	for name, ctor := range registry {
+		m := ctor()
+		m.Layers = m.Layers[:len(m.Layers):len(m.Layers)]
+		m.Edges = m.Edges[:len(m.Edges):len(m.Edges)]
+		out[name] = m
 	}
-	return ctor(), true
+	return out
+})
+
+// ByName returns the named zoo model, built once and shared by every
+// caller, so none may change it; a caller that edits a model edits one
+// from its constructor. ok is false for unknown names.
+func ByName(name string) (Model, bool) {
+	m, ok := zoo()[name]
+	return m, ok
 }

@@ -3,13 +3,18 @@ package serve
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"testing"
+
+	"repro/internal/dse"
 )
 
-// Benchmarks compare the service's cached and uncached analyze paths.
-// Record results in BENCH_serve.json at the repo root:
+// Benchmarks compare the service's cached and uncached analyze paths,
+// in process and through Handler(). Record results in BENCH_serve.json
+// at the repo root:
 //
 //	go test -run xxx -bench BenchmarkAnalyze ./internal/serve
+//	make bench-serve
 
 func benchServer(b *testing.B) *Server {
 	b.Helper()
@@ -116,4 +121,67 @@ func BenchmarkBatchFanout(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkHandler serves requests through Handler() into an httptest
+// recorder: decode, resolve, key, result cache or pool, encode. A hit
+// row repeats one cached /v1/analyze (KC-P on Accel256). A miss row
+// gives every request an L2 capacity of its own, so it misses the result
+// cache and prices a warm profile, as e2ebench's serve misses do.
+// dse/fleet_shard sends the /v1/dse body a two-node fleet sends for the
+// first shard of a default-grid sweep, with an L2 grid of its own each
+// time, as the fleet's sweeps do.
+func BenchmarkHandler(b *testing.B) {
+	s := New(Options{Workers: 1})
+	b.Cleanup(s.Close)
+	h := s.Handler()
+	unique := int64(0) // grows across runs, so no miss body repeats
+	serveOK := func(b *testing.B, path string, body []byte) {
+		if rec := serveBody(h, path, body); rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	for _, l := range []LayerSpec{{Model: "VGG16", Name: "CONV3"}, {Model: "GoogLeNet", Name: "CONV2"}} {
+		req := AnalyzeRequest{Layer: l, Dataflow: DataflowSpec{Name: "KC-P"}, HW: HWSpec{Preset: "Accel256"}}
+		hit := mustJSON(b, req)
+		serveOK(b, "/v1/analyze", hit)
+		b.Run("hit/"+l.Model+"_"+l.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				serveOK(b, "/v1/analyze", hit)
+			}
+		})
+		b.Run("miss/"+l.Model+"_"+l.Name, func(b *testing.B) {
+			bodies := make([][]byte, b.N)
+			for i := range bodies {
+				unique++
+				req.HW.L2Bytes = 256<<10 + unique
+				bodies[i] = mustJSON(b, req)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, body := range bodies {
+				serveOK(b, "/v1/analyze", body)
+			}
+		})
+	}
+	shard := DSERequest{
+		Layer: LayerSpec{Model: "VGG16", Name: "CONV3"}, Template: "KC-P",
+		BWs: []float64{8, 16, 32, 64}, L1Grid: dse.DefaultGrid(64, 1<<14, 2),
+		TopK:  1 << 30,
+		Shard: &DSEShard{Index: 0, Of: 2, PEMin: 64, PEMax: 128, Mappings: []string{"KC-P"}},
+	}.WithDefaults()
+	b.Run("dse/fleet_shard", func(b *testing.B) {
+		bodies := make([][]byte, b.N)
+		for i := range bodies {
+			unique++
+			shard.L2Grid = append(dse.DefaultGrid(1<<12, 1<<20, 2), 1<<23+64*unique)
+			bodies[i] = mustJSON(b, shard)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, body := range bodies {
+			serveOK(b, "/v1/dse", body)
+		}
+	})
 }

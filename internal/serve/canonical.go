@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -20,23 +18,13 @@ type Key [32]byte
 // String returns the hex form served back to clients.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// The analyze canonicalizer turns a resolved request into a stable
-// cache key: core's profile identity (the raw layer fields and the
-// dataflow in Augment's canonical form, so any surface spelling of the
-// same mapping — builder vs DSL, whitespace, named vs inline — encodes
-// identically) followed by the normalized hardware configuration, field
-// by field in a fixed order, hashed with SHA-256. The DSE and routing
-// keys below render the layer as text instead.
-
-func canonicalLayer(b *strings.Builder, l tensor.Layer) {
-	fmt.Fprintf(b, "layer|%s|op=%s|", l.Name, l.Op)
-	for _, d := range tensor.AllDims() {
-		fmt.Fprintf(b, "%s=%d,", d, l.Sizes.Get(d))
-	}
-	fmt.Fprintf(b, "|sy=%d|sx=%d|den=%g,%g,%g\n",
-		l.StrideY, l.StrideX,
-		l.Density[tensor.Input], l.Density[tensor.Weight], l.Density[tensor.Output])
-}
+// The canonicalizers turn a resolved request into a stable cache key.
+// The analyze key is core's profile identity (the raw layer fields and
+// the dataflow in Augment's canonical form, so any surface spelling of
+// the same mapping — builder vs DSL, whitespace, named vs inline —
+// encodes identically) followed by the normalized hardware
+// configuration, field by field in a fixed order, hashed with SHA-256.
+// The DSE and routing keys encode the layer the same way.
 
 // appendHW encodes every model-relevant hardware field in a fixed
 // order: integers as varints, floats as their IEEE-754 bits, the NoC
@@ -79,33 +67,71 @@ func canonicalKey(r resolved) Key {
 
 // canonicalDSEKey hashes a DSE request's canonical encoding. The shard
 // descriptor participates: a shard-scoped request computes a different
-// space than the full sweep and must never share its cache entry.
+// space than the full sweep and must never share its cache entry. The
+// analyze and fusion keys share the result cache; their encodings start
+// with a positive PE count as a zigzag varint, whose first byte is even,
+// while this one starts with the tag "dse" behind its odd length byte,
+// so no DSE encoding equals theirs.
 func canonicalDSEKey(layer tensor.Layer, req DSERequest) Key {
-	var b strings.Builder
-	b.WriteString("dse\n")
-	canonicalLayer(&b, layer)
-	fmt.Fprintf(&b, "tmpl=%s|p1=%v|p2=%v|pes=%v|bws=%v|l1=%v|l2=%v|area=%g|power=%g|topk=%d\n",
-		req.Template, req.P1, req.P2, req.PEs, req.BWs,
-		req.L1Grid, req.L2Grid, req.AreaBudgetMM2, req.PowerBudgetMW, req.TopK)
-	if sh := req.Shard; sh != nil {
-		fmt.Fprintf(&b, "shard|%d/%d|pe=[%d,%d]|maps=%v\n",
-			sh.Index, sh.Of, sh.PEMin, sh.PEMax, sh.Mappings)
+	var buf [512]byte
+	b := appendString(buf[:0], "dse")
+	b = core.AppendLayerIdentity(b, layer)
+	b = appendString(b, req.Template)
+	b = appendInts(b, req.P1)
+	b = appendInts(b, req.P2)
+	b = appendInts(b, req.PEs)
+	b = appendFloats(b, req.BWs)
+	b = appendInts(b, req.L1Grid)
+	b = appendInts(b, req.L2Grid)
+	b = appendFloats(b, []float64{req.AreaBudgetMM2, req.PowerBudgetMW})
+	b = binary.AppendVarint(b, int64(req.TopK))
+	sh := req.Shard
+	b = appendBool(b, sh != nil)
+	if sh != nil {
+		b = appendInts(b, []int{sh.Index, sh.Of, sh.PEMin, sh.PEMax})
+		b = binary.AppendUvarint(b, uint64(len(sh.Mappings)))
+		for _, m := range sh.Mappings {
+			b = appendString(b, m)
+		}
 	}
-	return sha256.Sum256([]byte(b.String()))
+	return sha256.Sum256(b)
 }
 
 // DSERouteKey hashes the canonical (layer, template, PE set) triple the
 // fleet coordinator routes shards on. Profiles are keyed by (dataflow,
-// layer, numPEs), so hashing exactly these fields — through the same
-// canonical layer encoding the result cache uses — sends repeat sweeps
-// of the same mapping family to the node whose ProfileCache already
-// holds the cluster walks, whatever the bandwidth or buffer axes say.
+// layer, numPEs), so hashing exactly these fields — with the layer
+// encoded as in the result cache's keys — sends repeat sweeps of the
+// same mapping family to the node whose ProfileCache already holds the
+// cluster walks, whatever the bandwidth or buffer axes say.
 func DSERouteKey(layer tensor.Layer, template string, pes []int) Key {
-	var b strings.Builder
-	b.WriteString("route\n")
-	canonicalLayer(&b, layer)
-	fmt.Fprintf(&b, "tmpl=%s|pes=%v\n", template, pes)
-	return sha256.Sum256([]byte(b.String()))
+	var buf [256]byte
+	b := appendString(buf[:0], "route")
+	b = core.AppendLayerIdentity(b, layer)
+	b = appendString(b, template)
+	b = appendInts(b, pes)
+	return sha256.Sum256(b)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendInts encodes a list as its length followed by varints.
+func appendInts[T int | int64](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+// appendFloats encodes a list as its length followed by IEEE-754 bits.
+func appendFloats(b []byte, vs []float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
 }
 
 // ResolveLayerSpec converts a LayerSpec into a concrete, validated

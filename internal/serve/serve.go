@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -336,13 +337,12 @@ func errorStatus(err error) int {
 	}
 }
 
+// writeJSON writes v as one line of compact JSON.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	s.responses.With(strconv.Itoa(status)).Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
 }
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
@@ -373,11 +373,16 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // decodeJSON parses a request body with a size cap and strict fields.
+// The body is one JSON value: anything but whitespace after it is a
+// 400, as is a body that ends inside it.
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequestf("decoding body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequestf("decoding body: data after the JSON value")
 	}
 	return nil
 }

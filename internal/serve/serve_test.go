@@ -232,6 +232,12 @@ func TestAnalyzeBadRequests(t *testing.T) {
 		{"inline layer zero-sized", mutate(func(r *AnalyzeRequest) {
 			r.Layer = LayerSpec{Name: "bad", K: -4, C: 16, Y: 8, X: 8, R: 3, S: 3}
 		})},
+		// Its MAC count overflows int64.
+		{"inline layer counts overflow", mutate(func(r *AnalyzeRequest) {
+			r.Layer = LayerSpec{Name: "huge", K: 4_000_000, C: 4_000_000, Y: 40_000, X: 40_000, R: 1, S: 1}
+		})},
+		// One JSON value per body: a valid request with data after it.
+		{"trailing data", marshal(t, zooReq()) + "garbage"},
 		// Resolve-time validation: a cluster wider than the PE array is
 		// the model's typed ErrInvalid, surfaced through the pool.
 		{"cluster exceeds pes", mutate(func(r *AnalyzeRequest) {

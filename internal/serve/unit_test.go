@@ -156,6 +156,74 @@ func TestCanonicalKeyProperties(t *testing.T) {
 	}
 }
 
+// TestDSEKeyProperties checks that every field of a DSE request that
+// shapes its answer changes its key, that a value moved across a list
+// boundary does too, and that the routing key follows the layer,
+// template and PE set only.
+func TestDSEKeyProperties(t *testing.T) {
+	layer, err := resolveLayer(LayerSpec{Model: "VGG16", Name: "CONV3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := DSERequest{
+		Template: "KC-P", P1: []int{16, 64}, P2: []int{8}, PEs: []int{64, 128},
+		BWs: []float64{8, 16}, L1Grid: []int64{64, 128}, L2Grid: []int64{4096},
+		AreaBudgetMM2: 16, PowerBudgetMW: 450, TopK: 32,
+		Shard: &DSEShard{Index: 0, Of: 2, PEMin: 64, PEMax: 128, Mappings: []string{"KC-P"}},
+	}
+	k0 := canonicalDSEKey(layer, base)
+	if canonicalDSEKey(layer, base) != k0 {
+		t.Fatal("key not deterministic")
+	}
+	shard := func(f func(*DSEShard)) func(*DSERequest) {
+		return func(r *DSERequest) {
+			sh := *r.Shard
+			f(&sh)
+			r.Shard = &sh
+		}
+	}
+	other := layer
+	other.StrideX = 2
+	for name, edit := range map[string]func(*DSERequest){
+		"template":      func(r *DSERequest) { r.Template = "YR-P" },
+		"p1":            func(r *DSERequest) { r.P1 = []int{16, 65} },
+		"p1 into p2":    func(r *DSERequest) { r.P1, r.P2 = []int{16}, []int{64, 8} },
+		"p2":            func(r *DSERequest) { r.P2 = []int{9} },
+		"pes":           func(r *DSERequest) { r.PEs = []int{64} },
+		"bws":           func(r *DSERequest) { r.BWs = []float64{8, 16.5} },
+		"l1 into l2":    func(r *DSERequest) { r.L1Grid, r.L2Grid = []int64{64}, []int64{128, 4096} },
+		"l2":            func(r *DSERequest) { r.L2Grid = []int64{4097} },
+		"area":          func(r *DSERequest) { r.AreaBudgetMM2 = 17 },
+		"power":         func(r *DSERequest) { r.PowerBudgetMW = 451 },
+		"top_k":         func(r *DSERequest) { r.TopK = 33 },
+		"no shard":      func(r *DSERequest) { r.Shard = nil },
+		"shard index":   shard(func(sh *DSEShard) { sh.Index = 1 }),
+		"shard of":      shard(func(sh *DSEShard) { sh.Of = 3 }),
+		"shard pe_min":  shard(func(sh *DSEShard) { sh.PEMin = 65 }),
+		"shard pe_max":  shard(func(sh *DSEShard) { sh.PEMax = 127 }),
+		"shard mapping": shard(func(sh *DSEShard) { sh.Mappings = []string{"KC-P", "YR-P"} }),
+	} {
+		req := base
+		edit(&req)
+		if canonicalDSEKey(layer, req) == k0 {
+			t.Errorf("%s: key unchanged", name)
+		}
+	}
+	if canonicalDSEKey(other, base) == k0 {
+		t.Error("layer stride: key unchanged")
+	}
+
+	r0 := DSERouteKey(layer, "KC-P", []int{64, 128})
+	if DSERouteKey(layer, "KC-P", []int{64, 128}) != r0 {
+		t.Fatal("route key not deterministic")
+	}
+	if DSERouteKey(layer, "YR-P", []int{64, 128}) == r0 ||
+		DSERouteKey(layer, "KC-P", []int{64}) == r0 ||
+		DSERouteKey(other, "KC-P", []int{64, 128}) == r0 {
+		t.Error("route key ignores its layer, template or PE set")
+	}
+}
+
 func dfSource(t *testing.T, name string) string {
 	t.Helper()
 	r, err := resolveRequest(AnalyzeRequest{

@@ -123,8 +123,16 @@ func (l Layer) Normalize() Layer {
 	return l
 }
 
+// MaxCount bounds a layer's MAC count and each tensor's element count:
+// 2^53, the largest integer a float64 (and so a JSON number) holds
+// exactly. Past it the engine's int64 counts can wrap negative. The
+// bound leaves headroom: at 2^55 MACs every Table 3 dataflow on the
+// 256-PE preset still yields non-negative counts.
+const MaxCount = 1 << 53
+
 // Validate reports an error when the layer dimensions are inconsistent
-// (non-positive sizes, window larger than the activation, bad stride).
+// (non-positive sizes, window larger than the activation, bad stride)
+// or its MAC or tensor element count exceeds MaxCount.
 func (l Layer) Validate() error {
 	if !l.Sizes.Valid() {
 		return fmt.Errorf("%w: layer %s: non-positive dimension in %v", ErrInvalidLayer, l.Name, l.Sizes)
@@ -136,7 +144,30 @@ func (l Layer) Validate() error {
 		return fmt.Errorf("%w: layer %s: filter %dx%d exceeds activation %dx%d",
 			ErrInvalidLayer, l.Name, l.Sizes[R], l.Sizes[S], l.Sizes[Y], l.Sizes[X])
 	}
+	// The weight and output counts are products of a subset of the MAC
+	// factors, so bounding the MACs bounds them; the input count is
+	// bounded on its own, since it spans Y and X rather than the output
+	// extents.
+	sz := l.Sizes
+	if !productWithin(MaxCount, sz[N], sz[K], sz[C], l.OutY(), l.OutX(), sz[R], sz[S]) ||
+		!productWithin(MaxCount, sz[N], sz[C], sz[Y], sz[X]) {
+		return fmt.Errorf("%w: layer %s: MAC or tensor element count exceeds 2^53 in %v",
+			ErrInvalidLayer, l.Name, l.Sizes)
+	}
 	return nil
+}
+
+// productWithin reports whether the product of the positive factors is
+// at most limit, without overflowing.
+func productWithin(limit int64, factors ...int) bool {
+	p := int64(1)
+	for _, f := range factors {
+		if int64(f) > limit/p {
+			return false
+		}
+		p *= int64(f)
+	}
+	return true
 }
 
 // OutY returns the number of output rows: floor((Y-R)/strideY)+1.

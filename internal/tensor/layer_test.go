@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -161,13 +162,28 @@ func TestAlgorithmicReuse(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	bad := Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 8, C: 8, Y: 2, X: 2, R: 3, S: 3}}.Normalize()
-	if err := bad.Validate(); err == nil {
-		t.Error("filter larger than activation accepted")
-	}
-	neg := Layer{Op: Conv2D}
-	if err := neg.Validate(); err == nil {
-		t.Error("zero sizes accepted")
+	for _, tc := range []struct {
+		name string
+		l    Layer
+		ok   bool
+	}{
+		{"filter larger than activation", Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 8, C: 8, Y: 2, X: 2, R: 3, S: 3}}.Normalize(), false},
+		{"zero sizes", Layer{Op: Conv2D}, false},
+		// Overflows int64: the MAC count wrapped to -4080774308857643008.
+		{"MACs overflow int64", Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 4_000_000, C: 4_000_000, Y: 40_000, X: 40_000, R: 1, S: 1}}.Normalize(), false},
+		{"MACs exactly 2^53", Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 1 << 26, C: 1 << 27, Y: 1, X: 1, R: 1, S: 1}}.Normalize(), true},
+		{"MACs 2^53+1", Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 321, C: 28_059_810_762_433, Y: 1, X: 1, R: 1, S: 1}}.Normalize(), false},
+		// A stride of 2^20 keeps the MACs at 2^14 while the input spans
+		// 2^54 elements.
+		{"input count over 2^53", Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 1, C: 1 << 14, Y: 1 << 20, X: 1 << 20, R: 1, S: 1}, StrideY: 1 << 20, StrideX: 1 << 20}.Normalize(), false},
+	} {
+		err := tc.l.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrInvalidLayer) {
+			t.Errorf("%s: Validate = %v; want ErrInvalidLayer", tc.name, err)
+		}
 	}
 }
 

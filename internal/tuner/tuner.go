@@ -74,12 +74,10 @@ func score(o Objective, r *core.Result) float64 {
 
 // candidates generates the mapping search space for a layer: the five
 // Table 3 styles plus tile-size variants of the parameterized templates,
-// scaled to the layer's dimensions and the PE count.
+// scaled to the layer's dimensions and the PE count. The Table 3 styles
+// are the dataflows package's shared values, parsed once.
 func candidates(layer tensor.Layer, numPEs int) []dataflow.Dataflow {
-	var out []dataflow.Dataflow
-	for _, df := range dataflows.All() {
-		out = append(out, df)
-	}
+	out := dataflows.All()
 	c := layer.Sizes.Get(tensor.C)
 	k := layer.Sizes.Get(tensor.K)
 	for _, cluster := range pow2Upto(min(numPEs, 128)) {

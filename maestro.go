@@ -269,14 +269,22 @@ var (
 )
 
 // DataflowByName returns one of the paper's Table 3 dataflows:
-// "C-P", "X-P", "YX-P", "YR-P", or "KC-P".
-var DataflowByName = dataflows.Get
+// "C-P", "X-P", "YX-P", "YR-P", or "KC-P". The result is the caller's
+// own copy, free to change.
+func DataflowByName(name string) Dataflow { return dataflows.Get(name).Clone() }
 
 // DataflowNames lists the Table 3 dataflow names in plotting order.
 var DataflowNames = dataflows.Names
 
-// AllDataflows returns the five Table 3 dataflows.
-var AllDataflows = dataflows.All
+// AllDataflows returns the five Table 3 dataflows, as copies the caller
+// may change.
+func AllDataflows() []Dataflow {
+	out := dataflows.All()
+	for i, df := range out {
+		out[i] = df.Clone()
+	}
+	return out
+}
 
 // Parameterized dataflow templates for design-space exploration.
 var (

@@ -239,3 +239,26 @@ func TestWithL2Retention(t *testing.T) {
 		t.Error("spilling should never reduce DRAM traffic")
 	}
 }
+
+// TestDataflowAccessorsCopy checks that the root package's Table 3
+// accessors hand out copies: editing one, down to a size term, leaves
+// the next caller's dataflow as parsed.
+func TestDataflowAccessorsCopy(t *testing.T) {
+	for i, df := range maestro.AllDataflows() {
+		want := maestro.DataflowByName(df.Name).String()
+		for _, d := range df.Directives {
+			for j := range d.Size.Terms {
+				d.Size.Terms[j].Coef = 7
+			}
+		}
+		df.Directives[len(df.Directives)-1] = maestro.Directive{IsCluster: true}
+		got := maestro.DataflowByName(df.Name)
+		got.Directives[0].Size.Const += 3
+		if s := maestro.DataflowByName(df.Name).String(); s != want {
+			t.Errorf("%s changed after editing copies:\n%s\nwant\n%s", df.Name, s, want)
+		}
+		if s := maestro.AllDataflows()[i].String(); s != want {
+			t.Errorf("AllDataflows %s changed after editing copies:\n%s\nwant\n%s", df.Name, s, want)
+		}
+	}
+}
