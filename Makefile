@@ -21,9 +21,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the parser targets, the batch-vs-sequential
-# pricing differential, the profile-key spelling invariance, the
-# traceparent header parser and the analyze endpoints' bodies; the same
+# Short fuzz smoke over the parser targets, the DSE summary's
+# merge-of-parts property, the batch-vs-sequential pricing
+# differential, the profile-key spelling invariance, the traceparent
+# header parser and the analyze endpoints' bodies; the same
 # list as CI's fuzz smoke (one -fuzz per invocation, a Go toolchain
 # constraint).
 fuzz:
@@ -31,6 +32,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseNetwork -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseHW -fuzztime=10s -run xxx ./internal/hw/
 	$(GO) test -fuzz=FuzzPartition -fuzztime=10s -run xxx ./internal/dse/
+	$(GO) test -fuzz=FuzzDSESummary -fuzztime=10s -run xxx ./internal/dse/
 	$(GO) test -fuzz=FuzzPriceBatch -fuzztime=10s -run xxx ./internal/core/
 	$(GO) test -fuzz=FuzzProfileKey -fuzztime=10s -run xxx ./internal/core/
 	$(GO) test -fuzz=FuzzExtractTraceparent -fuzztime=10s -run xxx ./internal/obs/

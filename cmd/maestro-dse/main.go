@@ -153,7 +153,7 @@ func run(args []string, stdout io.Writer) error {
 		space.Ctx = obs.WithRecorder(context.Background(), rec)
 	}
 	if *progress {
-		space.Progress = func(p dse.Progress) {
+		space.Progress = func(p dse.Stats) {
 			fmt.Fprintf(os.Stderr, "\r%d explored, %d priced, %d valid — %.3g designs/s ",
 				p.Explored, p.Priced, p.Valid, p.Rate())
 		}
@@ -178,12 +178,12 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "no valid designs within budget")
 		return nil
 	}
-	t, ok1 := dse.ThroughputOpt(pts)
-	showPoint(stdout, "throughput-opt", t, ok1)
-	e, ok2 := dse.EnergyOpt(pts)
-	showPoint(stdout, "energy-opt", e, ok2)
-	d, ok3 := dse.EDPOpt(pts)
-	showPoint(stdout, "edp-opt", d, ok3)
+	t, _ := dse.ThroughputOpt(pts)
+	showPoint(stdout, "throughput-opt", t)
+	e, _ := dse.EnergyOpt(pts)
+	showPoint(stdout, "energy-opt", e)
+	d, _ := dse.EDPOpt(pts)
+	showPoint(stdout, "edp-opt", d)
 	fmt.Fprintf(stdout, "Pareto frontier: %d of %d evaluated points\n", len(dse.Pareto(pts)), len(pts))
 
 	if *csvPath != "" {
@@ -288,15 +288,10 @@ func runFleet(a fleetArgs, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "no valid designs within budget")
 		return nil
 	}
-	if res.ThroughputOpt != nil {
-		showPoint(stdout, "throughput-opt", *res.ThroughputOpt, true)
-	}
-	if res.EnergyOpt != nil {
-		showPoint(stdout, "energy-opt", *res.EnergyOpt, true)
-	}
-	if res.EDPOpt != nil {
-		showPoint(stdout, "edp-opt", *res.EDPOpt, true)
-	}
+	// A sweep with a front has all three optima.
+	showPoint(stdout, "throughput-opt", *res.ThroughputOpt)
+	showPoint(stdout, "energy-opt", *res.EnergyOpt)
+	showPoint(stdout, "edp-opt", *res.EDPOpt)
 	fmt.Fprintf(stdout, "Pareto frontier: %d points\n", len(res.Pareto))
 
 	if a.csvPath != "" {
@@ -320,10 +315,7 @@ func splitHosts(s string) []string {
 	return hosts
 }
 
-func showPoint(w io.Writer, tag string, p dse.Point, ok bool) {
-	if !ok {
-		return
-	}
+func showPoint(w io.Writer, tag string, p dse.Point) {
 	fmt.Fprintf(w, "%-16s PEs=%-5d BW=%-5.0f L1=%-6dB L2=%-8dB area=%.2fmm² power=%.1fmW  %.1f MAC/cyc  %.3g pJ  EDP %.3g\n",
 		tag, p.NumPEs, p.BW, p.L1Bytes, p.L2Bytes, p.AreaMM2, p.PowerMW, p.Throughput, p.EnergyPJ, p.EDP)
 }

@@ -66,50 +66,34 @@ type Space struct {
 	// deterministic for benchmarks.
 	Profiles *core.ProfileCache
 	// Ctx carries observability: when an obs recorder is attached
-	// (obs.WithRecorder) Explore emits a "dse.explore" span with one
+	// (obs.WithRecorder) a sweep emits a "dse.explore" span with one
 	// "dse.mapping" child per (PEs, P1, P2) point, each containing its
 	// profile span and a single "core.price_batch" span covering the
 	// whole bandwidth axis. Nil means Background.
 	Ctx context.Context
-	// Progress, when non-nil, receives periodic exploration updates from
-	// a single reporter goroutine (so the callback never runs
-	// concurrently with itself), plus one final update on completion.
-	Progress func(Progress)
+	// Progress, when non-nil, receives the run's Stats so far,
+	// periodically from a single reporter goroutine (so the callback
+	// never runs concurrently with itself), plus once on completion.
+	Progress func(Stats)
 	// ProgressEvery is the reporting interval (default 1s).
 	ProgressEvery time.Duration
 }
 
-// Progress is one live exploration update.
-type Progress struct {
-	Explored int64 // grid points covered so far
-	Invoked  int64 // cluster walks performed
-	Priced   int64 // hardware points priced
-	Valid    int64 // valid designs found
-	Elapsed  time.Duration
-}
-
-// Rate returns explored designs per second so far.
-func (p Progress) Rate() float64 {
-	if p.Elapsed <= 0 {
-		return 0
-	}
-	return float64(p.Explored) / p.Elapsed.Seconds()
-}
-
-// Point is one valid design.
+// Point is one valid design. The JSON names are the /v1/dse wire's.
 type Point struct {
-	NumPEs  int
-	BW      float64 // elements/cycle
-	P1, P2  int
-	L1Bytes int64 // per-PE scratchpad, as required by the mapping
-	L2Bytes int64
+	NumPEs  int     `json:"num_pes"`
+	BW      float64 `json:"bw"` // elements/cycle
+	P1      int     `json:"p1"`
+	P2      int     `json:"p2"`
+	L1Bytes int64   `json:"l1_bytes"` // per-PE scratchpad, as required by the mapping
+	L2Bytes int64   `json:"l2_bytes"`
 
-	AreaMM2    float64
-	PowerMW    float64
-	Runtime    int64
-	Throughput float64 // MACs/cycle
-	EnergyPJ   float64 // on-chip energy for the layer
-	EDP        float64
+	AreaMM2    float64 `json:"area_mm2"`
+	PowerMW    float64 `json:"power_mw"`
+	Runtime    int64   `json:"runtime_cycles"`
+	Throughput float64 `json:"throughput_macs_per_cycle"` // MACs/cycle
+	EnergyPJ   float64 `json:"energy_pj"`                 // on-chip energy for the layer
+	EDP        float64 `json:"edp"`
 }
 
 // Stats summarizes one exploration run (the paper's Figure 13(c)).
@@ -154,8 +138,9 @@ type exploreCounters struct {
 	valid    atomic.Int64
 }
 
-func (c *exploreCounters) progress(start time.Time) Progress {
-	return Progress{
+func (c *exploreCounters) stats(raw int64, start time.Time) Stats {
+	return Stats{
+		Raw:      raw,
 		Explored: c.explored.Load(),
 		Invoked:  c.invoked.Load(),
 		Priced:   c.priced.Load(),
@@ -164,15 +149,35 @@ func (c *exploreCounters) progress(start time.Time) Progress {
 	}
 }
 
-// Explore sweeps the space and returns all valid design points.
+// Explore sweeps the space and returns every valid design point, in no
+// particular order.
 func Explore(sp Space) ([]Point, Stats) {
+	parts, stats := sweep(sp, func(pts *[]Point, p Point) { *pts = append(*pts, p) })
+	return slices.Concat(parts...), stats
+}
+
+// Summarize sweeps the space and folds the points as they are found,
+// each worker into its own Summary, then merges the workers. It keeps
+// the optima and the front, not every point.
+func Summarize(sp Space) Summary {
+	parts, stats := sweep(sp, (*Summary).Add)
+	s := Summary{Stats: stats}
+	for _, part := range parts {
+		s.Merge(part)
+	}
+	return s
+}
+
+// sweep is the one walk behind Explore and Summarize: workers take PE
+// counts off a job channel and fold each valid point into their own
+// part with add. It returns one part per worker and the run's Stats.
+func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 	start := time.Now()
-	stats := Stats{}
 	gridPerMapping := int64(len(sp.L1Grid)) * int64(len(sp.L2Grid))
 	if gridPerMapping == 0 {
 		gridPerMapping = 1
 	}
-	stats.Raw = int64(len(sp.PEs)) * int64(len(sp.BWs)) *
+	raw := int64(len(sp.PEs)) * int64(len(sp.BWs)) *
 		int64(len(sp.Template.P1)) * int64(len(sp.Template.P2)) * gridPerMapping
 
 	ctx := sp.Ctx
@@ -182,7 +187,7 @@ func Explore(sp Space) ([]Point, Stats) {
 	ctx, span := obs.Start(ctx, "dse.explore",
 		obs.String("template", sp.Template.Name),
 		obs.String("layer", sp.Layer.Name),
-		obs.Int64("raw_designs", stats.Raw))
+		obs.Int64("raw_designs", raw))
 
 	workers := sp.Workers
 	if workers <= 0 {
@@ -204,36 +209,32 @@ func Explore(sp Space) ([]Point, Stats) {
 			for {
 				select {
 				case <-t.C:
-					sp.Progress(c.progress(start))
+					sp.Progress(c.stats(raw, start))
 				case <-stopReporter:
-					sp.Progress(c.progress(start))
+					sp.Progress(c.stats(raw, start))
 					return
 				}
 			}
 		}()
 	}
 
-	type job struct{ pes int }
-	jobs := make(chan job)
-	var mu sync.Mutex
-	var points []Point
+	jobs := make(chan int)
+	parts := make([]T, workers)
 	var wg sync.WaitGroup
-
-	for w := 0; w < workers; w++ {
+	for w := range parts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var localPts []Point
-			for j := range jobs {
-				explorePEs(ctx, sp, j.pes, gridPerMapping, &localPts, &c)
+			var part T
+			emit := func(p Point) { add(&part, p) }
+			for pes := range jobs {
+				explorePEs(ctx, sp, pes, gridPerMapping, emit, &c)
 			}
-			mu.Lock()
-			points = append(points, localPts...)
-			mu.Unlock()
+			parts[w] = part
 		}()
 	}
 	for _, pes := range sp.PEs {
-		jobs <- job{pes}
+		jobs <- pes
 	}
 	close(jobs)
 	wg.Wait()
@@ -241,22 +242,19 @@ func Explore(sp Space) ([]Point, Stats) {
 	if reporterDone != nil {
 		<-reporterDone
 	}
-	stats.Explored = c.explored.Load()
-	stats.Invoked = c.invoked.Load()
-	stats.Priced = c.priced.Load()
-	stats.Valid = c.valid.Load()
-	stats.Elapsed = time.Since(start)
+	stats := c.stats(raw, start)
 	span.SetAttr(
 		obs.Int64("explored", stats.Explored),
 		obs.Int64("invoked", stats.Invoked),
 		obs.Int64("priced", stats.Priced),
 		obs.Int64("valid", stats.Valid))
 	span.End()
-	return points, stats
+	return parts, stats
 }
 
-// explorePEs evaluates the sub-space of one PE count.
-func explorePEs(ctx context.Context, sp Space, pes int, gridPerMapping int64, out *[]Point, st *exploreCounters) {
+// explorePEs evaluates the sub-space of one PE count, handing each
+// valid point to emit.
+func explorePEs(ctx context.Context, sp Space, pes int, gridPerMapping int64, emit func(Point), st *exploreCounters) {
 	innerRaw := int64(len(sp.BWs)) * int64(len(sp.Template.P1)) *
 		int64(len(sp.Template.P2)) * gridPerMapping
 	// Skip-invalid bound: even with the smallest buffers and narrowest
@@ -346,7 +344,7 @@ func explorePEs(ctx context.Context, sp Space, pes int, gridPerMapping int64, ou
 						EnergyPJ:   eb.Total() + sp.Cost.StaticEnergyPJ(area, r2.Runtime),
 					}
 					pt.EDP = pt.EnergyPJ * float64(pt.Runtime)
-					*out = append(*out, pt)
+					emit(pt)
 					// L1 capacities above the per-PE requirement are
 					// valid by dominance; count them arithmetically.
 					st.valid.Add(1 + sp.l1Headroom(pes, bw, l1, l2))
@@ -405,44 +403,6 @@ func (sp Space) l1Headroom(pes int, bw float64, l1, l2 int64) int64 {
 		n-- // the exact-requirement point itself is already counted
 	}
 	return n
-}
-
-// ThroughputOpt returns the highest-throughput point (ties: lower energy).
-func ThroughputOpt(pts []Point) (Point, bool) {
-	return pick(pts, func(a, b Point) bool {
-		if a.Throughput != b.Throughput {
-			return a.Throughput > b.Throughput
-		}
-		return a.EnergyPJ < b.EnergyPJ
-	})
-}
-
-// EnergyOpt returns the lowest-energy point (ties: higher throughput).
-func EnergyOpt(pts []Point) (Point, bool) {
-	return pick(pts, func(a, b Point) bool {
-		if a.EnergyPJ != b.EnergyPJ {
-			return a.EnergyPJ < b.EnergyPJ
-		}
-		return a.Throughput > b.Throughput
-	})
-}
-
-// EDPOpt returns the lowest energy-delay-product point.
-func EDPOpt(pts []Point) (Point, bool) {
-	return pick(pts, func(a, b Point) bool { return a.EDP < b.EDP })
-}
-
-func pick(pts []Point, better func(a, b Point) bool) (Point, bool) {
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if better(p, best) {
-			best = p
-		}
-	}
-	return best, true
 }
 
 // Pareto returns the throughput/energy Pareto frontier: points not

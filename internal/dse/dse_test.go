@@ -191,10 +191,10 @@ func TestL2AxisTradesEnergy(t *testing.T) {
 func TestExploreProgress(t *testing.T) {
 	sp := smallSpace()
 	var mu sync.Mutex
-	var last Progress
+	var last Stats
 	calls := 0
 	sp.ProgressEvery = time.Millisecond
-	sp.Progress = func(p Progress) {
+	sp.Progress = func(p Stats) {
 		mu.Lock()
 		last, calls = p, calls+1
 		mu.Unlock()

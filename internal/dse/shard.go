@@ -1,6 +1,9 @@
 package dse
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Shard is one partition of a sweep's (PE count × first tile knob)
 // plane: the sub-space spanned by Shard.PEs × Shard.P1 with every other
@@ -82,44 +85,19 @@ func chunks(s []int, n int) [][]int {
 // Points counts the (pe, p1) pairs the shard covers.
 func (sh Shard) Points() int { return len(sh.PEs) * len(sh.P1) }
 
-// MergePareto folds new points into an existing Pareto front and
-// returns the frontier of the union. It is the coordinator's
-// incremental merge: folding shard results one at a time through
-// MergePareto yields exactly Pareto of the concatenation of every
-// shard's points, in the same order — dominance is transitive, so
-// discarding a shard's interior points early never changes the final
-// front. front must itself be a Pareto front (e.g. nil, or a previous
-// MergePareto result); pts may be arbitrary.
-func MergePareto(front, pts []Point) []Point {
-	if len(pts) == 0 {
-		return front
-	}
-	merged := make([]Point, 0, len(front)+len(pts))
-	merged = append(merged, front...)
-	merged = append(merged, pts...)
-	return Pareto(merged)
-}
-
 // SortPoints orders points canonically — by PE count, knobs, bandwidth,
 // then buffer capacities — so fronts assembled in nondeterministic
 // completion order (parallel workers, fleet shards) compare equal
 // bit-for-bit.
-func SortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		switch {
-		case a.NumPEs != b.NumPEs:
-			return a.NumPEs < b.NumPEs
-		case a.P1 != b.P1:
-			return a.P1 < b.P1
-		case a.P2 != b.P2:
-			return a.P2 < b.P2
-		case a.BW != b.BW:
-			return a.BW < b.BW
-		case a.L1Bytes != b.L1Bytes:
-			return a.L1Bytes < b.L1Bytes
-		default:
-			return a.L2Bytes < b.L2Bytes
-		}
-	})
+func SortPoints(pts []Point) { slices.SortFunc(pts, comparePoints) }
+
+// comparePoints is SortPoints's order.
+func comparePoints(a, b Point) int {
+	return cmp.Or(
+		cmp.Compare(a.NumPEs, b.NumPEs),
+		cmp.Compare(a.P1, b.P1),
+		cmp.Compare(a.P2, b.P2),
+		cmp.Compare(a.BW, b.BW),
+		cmp.Compare(a.L1Bytes, b.L1Bytes),
+		cmp.Compare(a.L2Bytes, b.L2Bytes))
 }

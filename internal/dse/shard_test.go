@@ -131,65 +131,6 @@ func FuzzPartition(f *testing.F) {
 	})
 }
 
-// TestMergeParetoMatchesOracle is the merge-of-shards property test:
-// folding random shard splits through MergePareto must equal both the
-// one-shot Pareto of the concatenation (exactly, order included) and
-// the naive O(n²) oracle.
-func TestMergeParetoMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(96)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{
-				NumPEs:     i,
-				Throughput: float64(rng.Intn(9)),
-				EnergyPJ:   float64(rng.Intn(9)),
-			}
-		}
-		// Split into 1..6 contiguous shards and fold.
-		var front []Point
-		nshards := 1 + rng.Intn(6)
-		lo := 0
-		for s := 0; s < nshards; s++ {
-			hi := lo + rng.Intn(n-lo+1)
-			if s == nshards-1 {
-				hi = n
-			}
-			front = MergePareto(front, pts[lo:hi])
-			lo = hi
-		}
-		if want := Pareto(pts); !reflect.DeepEqual(front, want) {
-			t.Fatalf("trial %d: folded merge != Pareto of concatenation\ngot:  %+v\nwant: %+v",
-				trial, front, want)
-		}
-		got := map[Point]int{}
-		for _, p := range front {
-			got[p]++
-		}
-		want := map[Point]int{}
-		for _, p := range naivePareto(pts) {
-			want[p]++
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merged front != naive oracle\ngot:  %+v\nwant: %+v",
-				trial, front, naivePareto(pts))
-		}
-	}
-}
-
-// TestMergeParetoEmpty pins the identity edges.
-func TestMergeParetoEmpty(t *testing.T) {
-	front := []Point{{Throughput: 2, EnergyPJ: 1}}
-	if got := MergePareto(front, nil); !reflect.DeepEqual(got, front) {
-		t.Fatalf("MergePareto(front, nil) = %+v", got)
-	}
-	pts := []Point{{Throughput: 1, EnergyPJ: 2}, {Throughput: 3, EnergyPJ: 1}}
-	if got := MergePareto(nil, pts); !reflect.DeepEqual(got, Pareto(pts)) {
-		t.Fatalf("MergePareto(nil, pts) = %+v", got)
-	}
-}
-
 func TestSortPointsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mk := func() []Point {

@@ -108,9 +108,9 @@ type ShardResult struct {
 }
 
 // Result is a completed distributed sweep: the merged Pareto front in
-// canonical point order, the per-objective optima, and the aggregated
-// exploration counters (counted at-most-once per shard, however many
-// attempts ran).
+// canonical point order, the per-objective optima (nil exactly when the
+// front is empty), and the aggregated exploration counters (counted
+// at-most-once per shard, however many attempts ran).
 type Result struct {
 	Pareto        []dse.Point
 	ThroughputOpt *dse.Point
@@ -329,7 +329,7 @@ type sweep struct {
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
-	front     []dse.Point
+	sum       dse.Summary // the shards' answers, merged
 	res       Result
 	latencies []time.Duration
 	completed int
@@ -454,8 +454,12 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 		jnl.finish() // complete: nothing left to resume
 	}
 	res := sw.res
-	res.Pareto = sw.front
-	dse.SortPoints(res.Pareto)
+	st := sw.sum.Stats
+	res.Raw, res.Explored, res.Invoked, res.Pricings, res.Valid = st.Raw, st.Explored, st.Invoked, st.Priced, st.Valid
+	res.Pareto = sw.sum.Front
+	if len(res.Pareto) > 0 {
+		res.ThroughputOpt, res.EnergyOpt, res.EDPOpt = &sw.sum.ThroughputOpt, &sw.sum.EnergyOpt, &sw.sum.EDPOpt
+	}
 	res.Elapsed = time.Since(start)
 	res.Shards = len(runs)
 	res.TraceID = traceID
@@ -786,23 +790,9 @@ func (sw *sweep) restore(sr *shardRun, rec journalRecord) {
 	}
 }
 
-// merge folds one shard response into the sweep's running result.
+// merge folds one shard response into the sweep's running summary.
 // Caller holds sw.mu.
-func (sw *sweep) merge(resp *serve.DSEResponse) {
-	pts := make([]dse.Point, len(resp.Pareto))
-	for i, j := range resp.Pareto {
-		pts[i] = pointFrom(j)
-	}
-	sw.front = dse.MergePareto(sw.front, pts)
-	sw.res.Raw += resp.Raw
-	sw.res.Explored += resp.Explored
-	sw.res.Invoked += resp.Invoked
-	sw.res.Pricings += resp.Pricings
-	sw.res.Valid += resp.Valid
-	sw.res.ThroughputOpt = mergeOpt(sw.res.ThroughputOpt, resp.ThroughputOpt, betterThroughput)
-	sw.res.EnergyOpt = mergeOpt(sw.res.EnergyOpt, resp.EnergyOpt, betterEnergy)
-	sw.res.EDPOpt = mergeOpt(sw.res.EDPOpt, resp.EDPOpt, betterEDP)
-}
+func (sw *sweep) merge(resp *serve.DSEResponse) { sw.sum.Merge(resp.Summary()) }
 
 func (sw *sweep) noteRedispatch(sr *shardRun, host string, err error) {
 	sw.mu.Lock()
@@ -915,48 +905,6 @@ func (sw *sweep) medianLatency() time.Duration {
 	s := append([]time.Duration(nil), sw.latencies...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[n/2]
-}
-
-func betterThroughput(a, b dse.Point) bool {
-	if a.Throughput != b.Throughput {
-		return a.Throughput > b.Throughput
-	}
-	return a.EnergyPJ < b.EnergyPJ
-}
-
-func betterEnergy(a, b dse.Point) bool {
-	if a.EnergyPJ != b.EnergyPJ {
-		return a.EnergyPJ < b.EnergyPJ
-	}
-	return a.Throughput > b.Throughput
-}
-
-func betterEDP(a, b dse.Point) bool { return a.EDP < b.EDP }
-
-// mergeOpt folds one shard's per-objective optimum into the running
-// optimum with the same comparator dse's selectors use.
-func mergeOpt(cur *dse.Point, cand *serve.DSEPointJSON, better func(a, b dse.Point) bool) *dse.Point {
-	if cand == nil {
-		return cur
-	}
-	p := pointFrom(*cand)
-	if cur == nil || better(p, *cur) {
-		return &p
-	}
-	return cur
-}
-
-// pointFrom converts the wire point back to a dse.Point. JSON float64
-// round-trips are bit-exact in Go, so merged fleet fronts compare
-// bit-identical to locally computed ones.
-func pointFrom(j serve.DSEPointJSON) dse.Point {
-	return dse.Point{
-		NumPEs: j.NumPEs, BW: j.BW, P1: j.P1, P2: j.P2,
-		L1Bytes: j.L1Bytes, L2Bytes: j.L2Bytes,
-		AreaMM2: j.AreaMM2, PowerMW: j.PowerMW,
-		Runtime: j.Runtime, Throughput: j.Throughput,
-		EnergyPJ: j.EnergyPJ, EDP: j.EDP,
-	}
 }
 
 func sortedDedup(s []int) []int {

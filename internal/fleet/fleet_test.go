@@ -108,12 +108,21 @@ func fleetReq() serve.DSERequest {
 // and shared profile cache.
 func truth(t testing.TB, req serve.DSERequest) ([]dse.Point, dse.Stats) {
 	t.Helper()
+	pts, stats := dse.Explore(truthSpace(t, req))
+	front := dse.Pareto(pts)
+	dse.SortPoints(front)
+	return front, stats
+}
+
+// truthSpace is the whole space of req as one node sweeps it.
+func truthSpace(t testing.TB, req serve.DSERequest) dse.Space {
+	t.Helper()
 	layer, err := serve.ResolveLayerSpec(req.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req = req.WithDefaults()
-	sp := dse.Space{
+	return dse.Space{
 		Layer: layer,
 		Template: dse.Template{
 			Name:  "KC-P",
@@ -126,10 +135,6 @@ func truth(t testing.TB, req serve.DSERequest) ([]dse.Point, dse.Stats) {
 		Cost:     hw.Default28nm(),
 		Profiles: core.DefaultProfileCache,
 	}
-	pts, stats := dse.Explore(sp)
-	front := dse.Pareto(pts)
-	dse.SortPoints(front)
-	return front, stats
 }
 
 // TestSweepMatchesSingleNode is the core acceptance check: a 4-node
@@ -175,6 +180,24 @@ func TestSweepMatchesSingleNode(t *testing.T) {
 	}
 	if res.ThroughputOpt == nil || res.EnergyOpt == nil || res.EDPOpt == nil {
 		t.Fatal("missing per-objective optima")
+	}
+	// The optima are the local fold's, whole points and not just their
+	// objective values: ties break canonically, not by shard order.
+	local := dse.Summarize(truthSpace(t, fleetReq()))
+	for _, o := range []struct {
+		name      string
+		got, want dse.Point
+	}{
+		{"ThroughputOpt", *res.ThroughputOpt, local.ThroughputOpt},
+		{"EnergyOpt", *res.EnergyOpt, local.EnergyOpt},
+		{"EDPOpt", *res.EDPOpt, local.EDPOpt},
+	} {
+		if o.got != o.want {
+			t.Fatalf("%s = %+v, local Summarize %+v", o.name, o.got, o.want)
+		}
+	}
+	if !reflect.DeepEqual(local.Front, front) {
+		t.Fatalf("local Summarize front != single-node front")
 	}
 	// The optima agree with the local selectors on their objective
 	// values (tie-broken identically, so the metrics must match).

@@ -65,21 +65,9 @@ type DSEShard struct {
 	Mappings []string `json:"mappings,omitempty"`
 }
 
-// DSEPointJSON is one design point of the response.
-type DSEPointJSON struct {
-	NumPEs     int     `json:"num_pes"`
-	BW         float64 `json:"bw"`
-	P1         int     `json:"p1"`
-	P2         int     `json:"p2"`
-	L1Bytes    int64   `json:"l1_bytes"`
-	L2Bytes    int64   `json:"l2_bytes"`
-	AreaMM2    float64 `json:"area_mm2"`
-	PowerMW    float64 `json:"power_mw"`
-	Runtime    int64   `json:"runtime_cycles"`
-	Throughput float64 `json:"throughput_macs_per_cycle"`
-	EnergyPJ   float64 `json:"energy_pj"`
-	EDP        float64 `json:"edp"`
-}
+// DSEPointJSON is one design point of the response; dse.Point carries
+// the wire names.
+type DSEPointJSON = dse.Point
 
 // DSEResponse is the body of a successful sweep.
 type DSEResponse struct {
@@ -248,52 +236,43 @@ func dseTemplate(name string) (dse.Template, error) {
 	return dse.Template{}, badRequestf("unknown dse template %q (have KC-P, YR-P, YX-P)", name)
 }
 
-func pointJSON(p dse.Point) *DSEPointJSON {
-	return &DSEPointJSON{
-		NumPEs: p.NumPEs, BW: p.BW, P1: p.P1, P2: p.P2,
-		L1Bytes: p.L1Bytes, L2Bytes: p.L2Bytes,
-		AreaMM2: p.AreaMM2, PowerMW: p.PowerMW,
-		Runtime: p.Runtime, Throughput: p.Throughput,
-		EnergyPJ: p.EnergyPJ, EDP: p.EDP,
-	}
-}
-
-// runDSE executes the sweep and shapes the response.
+// runDSE executes the sweep, folding its points as they are found, and
+// shapes the response.
 func runDSE(req DSERequest, sp dse.Space) *DSEResponse {
-	points, stats := dse.Explore(sp)
+	s := dse.Summarize(sp)
 	resp := &DSEResponse{
-		Raw:      stats.Raw,
-		Explored: stats.Explored,
-		Invoked:  stats.Invoked,
-		Pricings: stats.Priced,
-		Valid:    stats.Valid,
-		Micros:   stats.Elapsed.Microseconds(),
-		Rate:     stats.Rate(),
+		Raw:      s.Stats.Raw,
+		Explored: s.Stats.Explored,
+		Invoked:  s.Stats.Invoked,
+		Pricings: s.Stats.Priced,
+		Valid:    s.Stats.Valid,
+		Micros:   s.Stats.Elapsed.Microseconds(),
+		Rate:     s.Stats.Rate(),
 		Pareto:   []DSEPointJSON{},
 	}
-	if p, ok := dse.ThroughputOpt(points); ok {
-		resp.ThroughputOpt = pointJSON(p)
-	}
-	if p, ok := dse.EnergyOpt(points); ok {
-		resp.EnergyOpt = pointJSON(p)
-	}
-	if p, ok := dse.EDPOpt(points); ok {
-		resp.EDPOpt = pointJSON(p)
-	}
-	topK := req.TopK
-	if topK <= 0 {
-		topK = 32
-	}
-	// Explore appends its workers' points in completion order, and
-	// Pareto keeps input order: sort the front so the answer and its
-	// top-k cut are the same on every run.
-	front := dse.Pareto(points)
-	dse.SortPoints(front)
-	for _, p := range front {
-		if len(resp.Pareto) >= topK {
-			break
+	if len(s.Front) > 0 {
+		resp.ThroughputOpt, resp.EnergyOpt, resp.EDPOpt = &s.ThroughputOpt, &s.EnergyOpt, &s.EDPOpt
+		topK := req.TopK
+		if topK <= 0 {
+			topK = 32
 		}
-		resp.Pareto = append(resp.Pareto, *pointJSON(p))
+		// The front is in canonical order, so the top-k cut is the same
+		// on every run.
+		resp.Pareto = s.Front[:min(topK, len(s.Front))]
 	}
 	return resp
+}
+
+// Summary returns the sweep summary the response carries, for merging
+// shard answers: the counters, the optima and the (top-k cut) front.
+// The front is the response's slice, not a copy.
+func (r *DSEResponse) Summary() dse.Summary {
+	s := dse.Summary{
+		Stats: dse.Stats{Raw: r.Raw, Explored: r.Explored, Invoked: r.Invoked, Priced: r.Pricings, Valid: r.Valid},
+		Front: r.Pareto,
+	}
+	if r.ThroughputOpt != nil && r.EnergyOpt != nil && r.EDPOpt != nil {
+		s.ThroughputOpt, s.EnergyOpt, s.EDPOpt = *r.ThroughputOpt, *r.EnergyOpt, *r.EDPOpt
+	}
+	return s
 }

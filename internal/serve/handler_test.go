@@ -37,7 +37,8 @@ func mustJSON(tb testing.TB, v any) []byte {
 // FuzzHandler posts arbitrary bodies to the analyze endpoints through
 // Handler(). Every answer is a 200, a 4xx, a load answer (429, 503) or
 // the deadline a body's timeout_ms set (504), never a 500 or a panic,
-// and every analysis served with a 200 has positive runtime and MACs.
+// and every analysis served with a 200 has positive runtime and MACs
+// and non-negative utilization.
 func FuzzHandler(f *testing.F) {
 	hit := AnalyzeRequest{
 		Layer:    LayerSpec{Model: "VGG16", Name: "CONV3"},
@@ -54,6 +55,11 @@ func FuzzHandler(f *testing.F) {
 	}
 	overflow := hit
 	overflow.Layer = LayerSpec{Name: "huge", K: 4_000_000, C: 4_000_000, Y: 40_000, X: 40_000, R: 1, S: 1}
+	// Densities outside [0, 1] are a 400; one got a 200 with negative
+	// utilization.
+	negDensity, overDensity := inline, inline
+	negDensity.Layer.InputDensity = -1
+	overDensity.Layer.WeightDensity = 2
 	// e2ebench's batch: six misses sharing one profile, two hits.
 	var batch BatchRequest
 	for i := int64(0); i < 6; i++ {
@@ -64,7 +70,7 @@ func FuzzHandler(f *testing.F) {
 	batch.Requests = append(batch.Requests, hit, hit)
 	for _, body := range [][]byte{
 		mustJSON(f, hit), mustJSON(f, miss), mustJSON(f, inline), mustJSON(f, overflow),
-		append(mustJSON(f, hit), "garbage"...),
+		mustJSON(f, negDensity), mustJSON(f, overDensity), append(mustJSON(f, hit), "garbage"...),
 	} {
 		f.Add(false, body)
 	}
@@ -106,8 +112,9 @@ func FuzzHandler(f *testing.F) {
 			results = append(results, &ar)
 		}
 		for _, r := range results {
-			if r.Runtime <= 0 || r.MACs <= 0 {
-				t.Fatalf("%s 200 with runtime_cycles %d, macs %d: %s", path, r.Runtime, r.MACs, body)
+			if r.Runtime <= 0 || r.MACs <= 0 || r.Utilization < 0 {
+				t.Fatalf("%s 200 with runtime_cycles %d, macs %d, utilization %g: %s",
+					path, r.Runtime, r.MACs, r.Utilization, body)
 			}
 		}
 	})

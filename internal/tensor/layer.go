@@ -131,8 +131,9 @@ func (l Layer) Normalize() Layer {
 const MaxCount = 1 << 53
 
 // Validate reports an error when the layer dimensions are inconsistent
-// (non-positive sizes, window larger than the activation, bad stride)
-// or its MAC or tensor element count exceeds MaxCount.
+// (non-positive sizes, window larger than the activation, bad stride),
+// a density lies outside [0, 1] or is NaN, or its MAC or tensor element
+// count exceeds MaxCount.
 func (l Layer) Validate() error {
 	if !l.Sizes.Valid() {
 		return fmt.Errorf("%w: layer %s: non-positive dimension in %v", ErrInvalidLayer, l.Name, l.Sizes)
@@ -143,6 +144,12 @@ func (l Layer) Validate() error {
 	if l.Sizes[R] > l.Sizes[Y] || l.Sizes[S] > l.Sizes[X] {
 		return fmt.Errorf("%w: layer %s: filter %dx%d exceeds activation %dx%d",
 			ErrInvalidLayer, l.Name, l.Sizes[R], l.Sizes[S], l.Sizes[Y], l.Sizes[X])
+	}
+	for k, d := range l.Density {
+		// Zero is in range: pooling's weight density is 0 (no weights).
+		if !(d >= 0 && d <= 1) {
+			return fmt.Errorf("%w: layer %s: %s density %g outside [0, 1]", ErrInvalidLayer, l.Name, Kind(k), d)
+		}
 	}
 	// The weight and output counts are products of a subset of the MAC
 	// factors, so bounding the MACs bounds them; the input count is

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,7 @@ func TestAlgorithmicReuse(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
+	sz := Sizes{N: 1, K: 8, C: 8, Y: 8, X: 8, R: 3, S: 3}
 	for _, tc := range []struct {
 		name string
 		l    Layer
@@ -176,6 +178,12 @@ func TestValidateRejects(t *testing.T) {
 		// A stride of 2^20 keeps the MACs at 2^14 while the input spans
 		// 2^54 elements.
 		{"input count over 2^53", Layer{Op: Conv2D, Sizes: Sizes{N: 1, K: 1, C: 1 << 14, Y: 1 << 20, X: 1 << 20, R: 1, S: 1}, StrideY: 1 << 20, StrideX: 1 << 20}.Normalize(), false},
+		// A negative input density priced a 200 with negative utilization.
+		{"negative input density", Layer{Op: Conv2D, Sizes: sz, Density: [NumKinds]float64{Input: -1}}.Normalize(), false},
+		{"weight density over 1", Layer{Op: Conv2D, Sizes: sz, Density: [NumKinds]float64{Weight: 1.5}}.Normalize(), false},
+		{"NaN output density", Layer{Op: Conv2D, Sizes: sz, Density: [NumKinds]float64{Output: math.NaN()}}.Normalize(), false},
+		{"sparse input", Layer{Op: Conv2D, Sizes: sz, Density: [NumKinds]float64{Input: 0.25}}.Normalize(), true},
+		{"pooling's zero weight density", Layer{Op: Pooling, Sizes: sz}.Normalize(), true},
 	} {
 		err := tc.l.Validate()
 		if tc.ok && err != nil {

@@ -556,15 +556,11 @@ type (
 // NewFleet builds a fleet coordinator over FleetOptions.Hosts.
 var NewFleet = fleet.New
 
-// Sharding and incremental-merge primitives behind the fleet, exported
+// Sharding and ordering primitives behind the fleet, exported
 // for custom coordinators.
 var (
 	// PartitionDSE splits the (PE, P1) axes into contiguous shards.
 	PartitionDSE = dse.Partition
-	// MergePareto folds a batch of points into a running Pareto front;
-	// folding shard fronts in any grouping equals one Pareto over the
-	// concatenation.
-	MergePareto = dse.MergePareto
 	// SortDSEPoints orders points canonically so merged fronts compare
 	// bit-identical regardless of arrival order.
 	SortDSEPoints = dse.SortPoints
