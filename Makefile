@@ -62,15 +62,17 @@ bench-serve:
 	$(GO) test -bench BenchmarkHandler -benchmem -count 5 -run xxx ./internal/serve
 
 # Fleet scaling: 1/2/4 in-process nodes with injected per-shard service
-# time, then dispatch plus compute with nothing injected; the measured
-# numbers are recorded in BENCH_fleet.json.
+# time, then DSE and fusion dispatch plus compute with nothing injected;
+# the measured numbers are recorded in BENCH_fleet.json.
 bench-fleet:
 	$(GO) test -bench 'BenchmarkFleetSweep/^nodes=' -benchtime 3x -run xxx ./internal/fleet
-	$(GO) test -bench 'BenchmarkFleetSweep/^latency=0' -benchtime 200x -count 5 -run xxx ./internal/fleet
+	$(GO) test -bench 'BenchmarkFleetSweep/^(fusion,)?latency=0' -benchtime 200x -count 5 -run xxx ./internal/fleet
 
 # Crash-recovery soak: kill the coordinator mid-sweep and resume from
 # the journal, SOAK_N times in a row under the race detector. Any
-# nondeterminism in replay or journal truncation shows up here.
+# nondeterminism in replay or journal truncation shows up here. The
+# -run prefix matches the DSE and the fusion crash-resume tests, so it
+# soaks both sweep kinds on the one shard runner.
 SOAK_N ?= 10
 soak-fleet:
 	$(GO) test -race -run 'TestChaosCoordinatorCrashResume' -count $(SOAK_N) -timeout 10m ./internal/fleet/

@@ -46,38 +46,71 @@ func computeReq() serve.DSERequest {
 	}
 }
 
+// fusionComputeReq has the shape of the end-to-end fleet workload's
+// fusion sweeps: one zoo model on KC-P with two budgets, so a two-node
+// fleet at one request in flight per node sends one chunk to each.
+func fusionComputeReq() serve.FusionRequest {
+	return serve.FusionRequest{
+		Model:    "AlexNet",
+		HW:       serve.HWSpec{Preset: "Accel256"},
+		Dataflow: "KC-P",
+		L2Grid:   []int64{64 << 10, 128 << 10},
+	}
+}
+
 // BenchmarkFleetSweep sweeps the same space through 1, 2, and 4
 // in-process nodes with a fixed 32-shard partition and reports merged
-// designs per wall-clock second. Its latency=0 case injects nothing: two
+// designs per wall-clock second. Its latency=0 cases inject nothing: two
 // nodes, one request in flight per node and the default shard count run
-// the end-to-end fleet workload's sweep shape, so ns/op is coordinator
-// dispatch plus node compute (profiles warm, result cache bypassed).
+// the end-to-end fleet workload's DSE and fusion sweep shapes, so ns/op
+// is coordinator dispatch plus node compute (profiles warm, result
+// cache bypassed).
 func BenchmarkFleetSweep(b *testing.B) {
-	b.Run("latency=0,nodes=2", func(b *testing.B) {
-		hosts, _, hc := newNodes(b, 2)
-		opts := fastFleet(hosts, hc)
-		opts.ShardsPerNode = 0 // the default
-		f, err := New(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		req := computeReq()
-		req.NoCache = true
-		if _, err := f.Sweep(context.Background(), req); err != nil {
-			b.Fatal(err) // warm the profile cache
-		}
-		b.ResetTimer()
-		var shards int
-		for i := 0; i < b.N; i++ {
-			res, err := f.Sweep(context.Background(), req)
+	dseReq, fusReq := computeReq(), fusionComputeReq()
+	dseReq.NoCache, fusReq.NoCache = true, true
+	for _, c := range []struct {
+		name  string
+		sweep func(*Fleet) (shards int, err error)
+	}{
+		{"latency=0,nodes=2", func(f *Fleet) (int, error) {
+			res, err := f.Sweep(context.Background(), dseReq)
+			if err != nil {
+				return 0, err
+			}
+			return res.Shards, nil
+		}},
+		{"fusion,latency=0,nodes=2", func(f *Fleet) (int, error) {
+			res, err := f.SweepFusion(context.Background(), fusReq)
+			if err != nil {
+				return 0, err
+			}
+			return res.Shards, nil
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			hosts, _, hc := newNodes(b, 2)
+			opts := fastFleet(hosts, hc)
+			opts.ShardsPerNode = 0 // the default
+			f, err := New(opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			shards += res.Shards
-		}
-		b.ReportMetric(float64(shards)/float64(b.N), "shards/op")
-	})
+			defer f.Close()
+			if _, err := c.sweep(f); err != nil {
+				b.Fatal(err) // warm the profile cache
+			}
+			b.ResetTimer()
+			var shards int
+			for i := 0; i < b.N; i++ {
+				n, err := c.sweep(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				shards += n
+			}
+			b.ReportMetric(float64(shards)/float64(b.N), "shards/op")
+		})
+	}
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			hosts, servers, hc := newNodes(b, n)

@@ -274,7 +274,7 @@ func TestChaosCoordinatorCrashResumeFusion(t *testing.T) {
 	defer cancel()
 	opts := checkpointOpts(cluster.hosts, cluster.hc, dir)
 	var journaled int32
-	opts.OnFusionShard = func(sr FusionShardResult) {
+	opts.OnShard = func(sr ShardResult) {
 		atomic.AddInt32(&journaled, 1)
 		cancel()
 	}
@@ -297,7 +297,7 @@ func TestChaosCoordinatorCrashResumeFusion(t *testing.T) {
 	opts2 := checkpointOpts(cluster.hosts, cluster.hc, dir)
 	opts2.Resume = true
 	var replayed int32
-	opts2.OnFusionShard = func(sr FusionShardResult) {
+	opts2.OnShard = func(sr ShardResult) {
 		if sr.Replayed {
 			atomic.AddInt32(&replayed, 1)
 		}

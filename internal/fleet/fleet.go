@@ -53,14 +53,11 @@ type Options struct {
 	StragglerMin time.Duration
 	// WatchTick is the straggler watchdog period (default 25ms).
 	WatchTick time.Duration
-	// OnShard, when set, streams each accepted shard result as it
-	// merges (duplicates from stolen attempts are not streamed). Called
-	// from request goroutines; must be safe for concurrent use.
+	// OnShard, when set, streams each settled shard of either sweep
+	// kind as it merges, replayed ones included (duplicates from stolen
+	// attempts are not streamed). Called from request goroutines; must
+	// be safe for concurrent use.
 	OnShard func(ShardResult)
-	// OnFusionShard is OnShard's fusion twin: it streams each merged
-	// fusion chunk (replayed ones included). Called from request
-	// goroutines; must be safe for concurrent use.
-	OnFusionShard func(FusionShardResult)
 	// CheckpointDir, when set, makes sweeps durable: every accepted
 	// shard result is appended to a checksummed write-ahead journal in
 	// this directory and fsync'd before the shard counts as done. See
@@ -98,13 +95,36 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ShardResult is one accepted shard response, streamed via OnShard.
+// ShardResult is one settled shard, streamed via OnShard. Exactly one
+// of Resp and Fusion is set, by the sweep's kind; a fusion chunk fills
+// only Shard.Index and Shard.Of.
 type ShardResult struct {
 	Shard    dse.Shard
 	Host     string // node that produced the accepted result
 	Stolen   bool   // true when a watchdog-stolen attempt won
 	Replayed bool   // true when restored from the checkpoint journal
 	Resp     *serve.DSEResponse
+	Fusion   *serve.FusionResponse
+}
+
+// Dispatch counts how the fleet ran one sweep's shards; Result and
+// FusionResult embed it.
+type Dispatch struct {
+	Elapsed      time.Duration
+	Shards       int
+	Redispatched int64 // failover attempts after a node refused or failed a shard
+	Stolen       int64 // duplicate attempts launched by the straggler watchdog
+	Discarded    int64 // duplicate results dropped by at-most-once accounting
+	Replayed     int   // shards restored from the checkpoint journal, not dispatched
+	// JournalErrors counts shard results that merged but could not be
+	// made durable (append or fsync failed). The sweep still completes;
+	// a later resume re-dispatches those shards.
+	JournalErrors int64
+
+	// TraceID is the distributed trace the sweep ran under (empty when
+	// tracing was off). It is the key for pulling node-local span
+	// segments and assembling the stitched fleet trace.
+	TraceID string
 }
 
 // Result is a completed distributed sweep: the merged Pareto front in
@@ -123,21 +143,7 @@ type Result struct {
 	Pricings int64
 	Valid    int64
 
-	Elapsed      time.Duration
-	Shards       int
-	Redispatched int64 // failover attempts after a node refused or failed a shard
-	Stolen       int64 // duplicate attempts launched by the straggler watchdog
-	Discarded    int64 // duplicate results dropped by at-most-once accounting
-	Replayed     int   // shards restored from the checkpoint journal, not dispatched
-	// JournalErrors counts shard results that merged but could not be
-	// made durable (append or fsync failed). The sweep still completes;
-	// a later resume re-dispatches those shards.
-	JournalErrors int64
-
-	// TraceID is the distributed trace the sweep ran under (empty when
-	// tracing was off). It is the key for pulling node-local span
-	// segments and assembling the stitched fleet trace.
-	TraceID string
+	Dispatch
 }
 
 // Rate reports explored designs per wall-clock second.
@@ -168,21 +174,17 @@ type Stats struct {
 	PerNode      map[string]NodeStats
 }
 
-// Fleet dispatches sharded DSE sweeps across maestro-serve nodes. Safe
-// for concurrent use.
+// Fleet dispatches sharded DSE and fusion sweeps across maestro-serve
+// nodes. Safe for concurrent use.
 type Fleet struct {
 	opts    Options
 	ring    *ring
 	clients map[string]*client.Client
 	prober  *prober // nil when probing is disabled
 
-	mu           sync.Mutex
-	sweeps       int64
-	shards       int64
-	redispatched int64
-	stolen       int64
-	discarded    int64
-	perNode      map[string]*NodeStats
+	mu      sync.Mutex
+	stats   Stats // the fleet-wide counters; Stats fills PerNode from perNode
+	perNode map[string]*NodeStats
 	// lastLatencies holds the most recent completed sweep's per-shard
 	// latencies, feeding the federated shard-timeline quantiles.
 	lastLatencies []time.Duration
@@ -267,14 +269,8 @@ func (f *Fleet) Close() {
 // Stats snapshots fleet counters and live per-node breaker positions.
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
-	st := Stats{
-		Sweeps:       f.sweeps,
-		Shards:       f.shards,
-		Redispatched: f.redispatched,
-		Stolen:       f.stolen,
-		Discarded:    f.discarded,
-		PerNode:      make(map[string]NodeStats, len(f.perNode)),
-	}
+	st := f.stats
+	st.PerNode = make(map[string]NodeStats, len(f.perNode))
 	for h, ns := range f.perNode {
 		st.PerNode[h] = *ns
 	}
@@ -291,8 +287,10 @@ func (f *Fleet) Stats() Stats {
 
 // shardRun is one shard's dispatch state.
 type shardRun struct {
-	shard dse.Shard
-	req   serve.DSERequest
+	shard dse.Shard // a fusion chunk fills only Index and Of
+	// call sends the shard's scoped request to one node and returns the
+	// answer in the one journal-record payload its sweep kind fills.
+	call  func(context.Context, *client.Client) (journalRecord, error)
 	route []string // failover order, preferred node first
 	// hash is the canonical hash of the shard's scoped request; it keys
 	// the shard's journal record, so a resumed sweep only replays a
@@ -317,10 +315,10 @@ type liveAttempt struct {
 	host  string
 }
 
-// sweep is the per-Sweep coordinator state.
+// sweep is the shard runner's per-sweep state, for either sweep kind.
 type sweep struct {
 	f      *Fleet
-	opts   Options
+	kind   string // journalKindDSE or journalKindFusion
 	ctx    context.Context
 	cancel context.CancelFunc
 	sem    hostSlots
@@ -329,8 +327,8 @@ type sweep struct {
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
-	sum       dse.Summary // the shards' answers, merged
-	res       Result
+	merge     func(*journalRecord) // the kind's fold of one answer; called under mu
+	d         Dispatch
 	latencies []time.Duration
 	completed int
 	err       error
@@ -347,33 +345,51 @@ type sweep struct {
 // space. Sweep blocks until every shard completes, the context is
 // cancelled, or a shard exhausts its failover budget.
 func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error) {
-	start := time.Now()
 	runs, layer, err := f.plan(req)
 	if err != nil {
 		return nil, err
 	}
+	var sum dse.Summary // the shards' answers, merged
+	d, err := f.run(ctx, journalKindDSE, func() (string, error) { return sweepHashDSE(req) }, runs,
+		func(rec *journalRecord) { sum.Merge(rec.DSE.Summary()) },
+		obs.String("layer", layer.Name), obs.String("template", req.Template))
+	if err != nil {
+		return nil, err
+	}
+	st := sum.Stats
+	res := &Result{Pareto: sum.Front, Dispatch: d,
+		Raw: st.Raw, Explored: st.Explored, Invoked: st.Invoked, Pricings: st.Priced, Valid: st.Valid}
+	if len(res.Pareto) > 0 {
+		res.ThroughputOpt, res.EnergyOpt, res.EDPOpt = &sum.ThroughputOpt, &sum.EnergyOpt, &sum.EDPOpt
+	}
+	return res, nil
+}
 
+// run is the shard runner both sweep kinds share. When checkpointing,
+// it opens the sweep's write-ahead journal (kind names the file, the
+// hash sweepHash computes keys it) and replays the journaled shards;
+// it dispatches the rest along their routes with straggler stealing,
+// and settles each shard once: journaled first, then folded into the
+// caller's answer by merge, which runs under the runner's lock. attrs
+// label the fleet.sweep span.
+func (f *Fleet) run(ctx context.Context, kind string, sweepHash func() (string, error), runs []*shardRun, merge func(*journalRecord), attrs ...obs.Attr) (Dispatch, error) {
+	start := time.Now()
 	// Open the write-ahead journal before anything is dispatched: a
 	// checkpointed sweep that cannot journal must fail loudly rather
 	// than silently run undurable.
 	var jnl *journal
 	if f.opts.CheckpointDir != "" {
-		creq := req.WithDefaults()
-		creq.PEs = sortedDedup(creq.PEs)
-		creq.P1 = sortedDedup(creq.P1)
-		hash, err := sweepHashDSE(creq)
+		hash, err := sweepHash()
 		if err != nil {
-			return nil, fmt.Errorf("fleet: hashing sweep request: %w", err)
+			return Dispatch{}, fmt.Errorf("fleet: hashing %s sweep request: %w", kind, err)
 		}
-		jnl, err = openJournal(f.opts.CheckpointDir, journalKindDSE, hash, f.opts.Resume)
-		if err != nil {
-			return nil, err
+		if jnl, err = openJournal(f.opts.CheckpointDir, kind, hash, f.opts.Resume); err != nil {
+			return Dispatch{}, err
 		}
 	}
 
 	ctx, span := obs.Start(ctx, "fleet.sweep",
-		obs.String("layer", layer.Name), obs.String("template", req.Template),
-		obs.Int("shards", len(runs)), obs.Int("hosts", len(f.opts.Hosts)))
+		append(attrs, obs.Int("shards", len(runs)), obs.Int("hosts", len(f.opts.Hosts)))...)
 	defer span.End()
 	traceID := span.TraceID()
 	if traceID != "" {
@@ -384,10 +400,12 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 
 	sw := &sweep{
 		f:      f,
-		opts:   f.opts,
+		kind:   kind,
+		merge:  merge,
 		sem:    newHostSlots(f.opts.Hosts, f.opts.InflightPerNode),
 		shards: runs,
 		jnl:    jnl,
+		d:      Dispatch{Shards: len(runs), TraceID: traceID},
 		doneCh: make(chan struct{}),
 		failCh: make(chan struct{}),
 	}
@@ -395,33 +413,31 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 	defer sw.cancel()
 	for _, sr := range runs {
 		sr.ctx, sr.cancel = context.WithCancel(sw.ctx)
+		sr.live = make(map[int]liveAttempt, 2)
 	}
 
 	f.mu.Lock()
-	f.sweeps++
-	f.shards += int64(len(runs))
+	f.stats.Sweeps++
+	f.stats.Shards += int64(len(runs))
 	f.mu.Unlock()
 
 	// Replay journaled shards before dispatching anything: a record only
 	// restores into the shard whose scoped-request hash and partition
 	// shape it was written for, so a changed host count or grid simply
 	// re-dispatches instead of merging the wrong slice.
+	pending := runs
 	if jnl != nil {
+		pending = nil
 		for _, sr := range runs {
 			if rec, ok := jnl.lookup(sr.hash); ok &&
 				rec.Of == len(runs) && rec.Shard == sr.shard.Index {
-				sw.restore(sr, rec)
+				sw.accept(sr, rec, true, 0)
+			} else {
+				pending = append(pending, sr)
 			}
 		}
 	}
-
-	for _, sr := range sw.shards {
-		sw.mu.Lock()
-		done := sr.done
-		sw.mu.Unlock()
-		if done {
-			continue // restored from the journal
-		}
+	for _, sr := range pending {
 		sw.wg.Add(1)
 		go sw.runShard(sr)
 	}
@@ -446,30 +462,21 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error
 			jnl.close()
 		}
 		if sw.err != nil {
-			return nil, sw.err
+			return Dispatch{}, sw.err
 		}
-		return nil, fmt.Errorf("fleet: sweep cancelled: %w", ctx.Err())
+		return Dispatch{}, fmt.Errorf("fleet: sweep cancelled: %w", ctx.Err())
 	}
 	if jnl != nil {
 		jnl.finish() // complete: nothing left to resume
 	}
-	res := sw.res
-	st := sw.sum.Stats
-	res.Raw, res.Explored, res.Invoked, res.Pricings, res.Valid = st.Raw, st.Explored, st.Invoked, st.Priced, st.Valid
-	res.Pareto = sw.sum.Front
-	if len(res.Pareto) > 0 {
-		res.ThroughputOpt, res.EnergyOpt, res.EDPOpt = &sw.sum.ThroughputOpt, &sw.sum.EnergyOpt, &sw.sum.EDPOpt
-	}
-	res.Elapsed = time.Since(start)
-	res.Shards = len(runs)
-	res.TraceID = traceID
+	d := sw.d
+	d.Elapsed = time.Since(start)
 	f.mu.Lock()
 	f.lastLatencies = append([]time.Duration(nil), sw.latencies...)
 	f.mu.Unlock()
-	span.SetAttr(obs.Int64("explored", res.Explored),
-		obs.Int64("redispatched", res.Redispatched), obs.Int64("stolen", res.Stolen),
-		obs.Int("replayed", res.Replayed))
-	return &res, nil
+	span.SetAttr(obs.Int64("redispatched", d.Redispatched), obs.Int64("stolen", d.Stolen),
+		obs.Int("replayed", d.Replayed))
+	return d, nil
 }
 
 // plan fills the request's defaults, partitions the design space, and
@@ -546,10 +553,12 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 		}
 		runs = append(runs, &shardRun{
 			shard: sh,
-			req:   sreq,
+			call: func(ctx context.Context, c *client.Client) (journalRecord, error) {
+				resp, err := c.DSE(ctx, sreq)
+				return journalRecord{DSE: resp}, err
+			},
 			route: routes[i],
 			hash:  hash,
-			live:  make(map[int]liveAttempt, 2),
 		})
 	}
 	return runs, layer, nil
@@ -596,7 +605,7 @@ func (s hostSlots) full(host string) bool { return len(s[host]) >= cap(s[host]) 
 // or the attempt budget runs out.
 func (sw *sweep) runShard(sr *shardRun) {
 	defer sw.wg.Done()
-	budget := sw.opts.Rounds * len(sr.route)
+	budget := sw.f.opts.Rounds * len(sr.route)
 	var lastErr error
 	for n := 0; n < budget; n++ {
 		if sw.ctx.Err() != nil || sr.ctx.Err() != nil {
@@ -615,15 +624,15 @@ func (sw *sweep) runShard(sr *shardRun) {
 			return
 		}
 		if refused(err) {
-			sw.failed(fmt.Errorf("fleet: shard %d/%d refused by %s: %w",
-				sr.shard.Index, sr.shard.Of, host, err))
+			sw.failed(fmt.Errorf("fleet: %s shard %d/%d refused by %s: %w",
+				sw.kind, sr.shard.Index, sr.shard.Of, host, err))
 			return
 		}
 		lastErr = err
 		sw.noteRedispatch(sr, host, err)
 	}
-	sw.failed(fmt.Errorf("fleet: shard %d/%d failed after %d attempts: %w",
-		sr.shard.Index, sr.shard.Of, budget, lastErr))
+	sw.failed(fmt.Errorf("fleet: %s shard %d/%d failed after %d attempts: %w",
+		sw.kind, sr.shard.Index, sr.shard.Of, budget, lastErr))
 }
 
 // failed ends the sweep with err; the first failure wins.
@@ -698,7 +707,7 @@ func (sw *sweep) attempt(sr *shardRun, host string, stolen bool) error {
 	// client injects names this sweep's trace.
 	sctx, span := obs.Start(sr.ctx, "fleet.shard",
 		obs.Int("shard", sr.shard.Index), obs.String("host", host), obs.Bool("stolen", stolen))
-	resp, err := sw.f.clients[host].DSE(sctx, sr.req)
+	rec, err := sr.call(sctx, sw.f.clients[host])
 	span.SetAttr(obs.Bool("ok", err == nil))
 	span.End()
 	if err != nil {
@@ -710,96 +719,71 @@ func (sw *sweep) attempt(sr *shardRun, host string, stolen bool) error {
 		sw.f.mu.Unlock()
 		return err
 	}
-	sw.accept(sr, host, resp, time.Since(start), stolen)
+	rec.Host, rec.Stolen = host, stolen
+	sw.accept(sr, rec, false, time.Since(start))
 	return nil
 }
 
-// accept merges a shard response exactly once; late duplicates from
-// stolen or raced attempts are counted and dropped. With checkpointing
-// on, the record is appended and fsync'd *before* the shard is marked
-// done — a coordinator killed at any instant either has the shard
-// durable or will re-dispatch it, never neither.
-func (sw *sweep) accept(sr *shardRun, host string, resp *serve.DSEResponse, d time.Duration, stolen bool) {
+// accept settles a shard with one answer exactly once; late duplicates
+// from stolen or raced attempts are counted and dropped. With
+// checkpointing on, a dispatched answer is appended and fsync'd *before*
+// the shard is marked done — a coordinator killed at any instant either
+// has the shard durable or will re-dispatch it, never neither. A
+// replayed answer, restored from the journal before dispatch, records
+// no latency sample, so the straggler watchdog's median only reflects
+// shards that actually ran in this process.
+func (sw *sweep) accept(sr *shardRun, rec journalRecord, replayed bool, d time.Duration) {
 	sw.mu.Lock()
 	if sr.done {
-		sw.res.Discarded++
+		sw.d.Discarded++
 		sw.f.mu.Lock()
-		sw.f.discarded++
+		sw.f.stats.Discarded++
 		sw.f.mu.Unlock()
 		sw.mu.Unlock()
 		return
 	}
-	if sw.jnl != nil {
-		rec := journalRecord{
-			Shard: sr.shard.Index, Of: len(sw.shards), Hash: sr.hash,
-			Host: host, Stolen: stolen, DSE: resp,
-		}
-		if err := sw.jnl.append(rec); err != nil {
-			// Degrade, don't fail the sweep: the result still merges, a
-			// later resume just re-dispatches this shard.
-			sw.res.JournalErrors++
-			if sp := obs.SpanFrom(sw.ctx); sp != nil {
-				sp.Event("fleet.journal_error",
-					obs.Int("shard", sr.shard.Index), obs.String("error", err.Error()))
+	if replayed {
+		sw.d.Replayed++
+	} else {
+		if sw.jnl != nil {
+			rec.Shard, rec.Of, rec.Hash = sr.shard.Index, len(sw.shards), sr.hash
+			if err := sw.jnl.append(rec); err != nil {
+				// Degrade, don't fail the sweep: the result still merges, a
+				// later resume just re-dispatches this shard.
+				sw.d.JournalErrors++
+				if sp := obs.SpanFrom(sw.ctx); sp != nil {
+					sp.Event("fleet.journal_error",
+						obs.Int("shard", sr.shard.Index), obs.String("error", err.Error()))
+				}
 			}
 		}
+		sw.latencies = append(sw.latencies, d)
+		sw.f.mu.Lock()
+		sw.f.perNode[rec.Host].Shards++
+		sw.f.mu.Unlock()
 	}
 	sr.done = true
-	sw.merge(resp)
-	sw.latencies = append(sw.latencies, d)
+	sw.merge(&rec)
 	sw.completed++
 	last := sw.completed == len(sw.shards)
-	sw.f.mu.Lock()
-	sw.f.perNode[host].Shards++
-	sw.f.mu.Unlock()
 	sw.mu.Unlock()
 
 	sr.cancel() // abort the losing attempt, if one is in flight
-	if cb := sw.opts.OnShard; cb != nil {
-		cb(ShardResult{Shard: sr.shard, Host: host, Stolen: stolen, Resp: resp})
+	if cb := sw.f.opts.OnShard; cb != nil {
+		cb(ShardResult{Shard: sr.shard, Host: rec.Host, Stolen: rec.Stolen, Replayed: replayed,
+			Resp: rec.DSE, Fusion: rec.Fusion})
 	}
 	if last {
 		close(sw.doneCh)
 	}
 }
-
-// restore merges a journaled shard record as if the shard had just
-// completed, without dispatching anything. No latency sample is
-// recorded, so the straggler watchdog's median only reflects shards
-// that actually ran in this process. Called sequentially from Sweep
-// before dispatch starts.
-func (sw *sweep) restore(sr *shardRun, rec journalRecord) {
-	sw.mu.Lock()
-	if sr.done {
-		sw.mu.Unlock()
-		return
-	}
-	sr.done = true
-	sw.merge(rec.DSE)
-	sw.res.Replayed++
-	sw.completed++
-	last := sw.completed == len(sw.shards)
-	sw.mu.Unlock()
-
-	sr.cancel()
-	if cb := sw.opts.OnShard; cb != nil {
-		cb(ShardResult{Shard: sr.shard, Host: rec.Host, Stolen: rec.Stolen, Replayed: true, Resp: rec.DSE})
-	}
-	if last {
-		close(sw.doneCh)
-	}
-}
-
-// merge folds one shard response into the sweep's running summary.
-// Caller holds sw.mu.
-func (sw *sweep) merge(resp *serve.DSEResponse) { sw.sum.Merge(resp.Summary()) }
 
 func (sw *sweep) noteRedispatch(sr *shardRun, host string, err error) {
 	sw.mu.Lock()
-	sw.res.Redispatched++
+	sw.d.Redispatched++
 	sw.mu.Unlock()
 	sw.f.mu.Lock()
-	sw.f.redispatched++
+	sw.f.stats.Redispatched++
 	sw.f.mu.Unlock()
 	if sp := obs.SpanFrom(sw.ctx); sp != nil {
 		sp.Event("fleet.redispatch", obs.Int("shard", sr.shard.Index),
@@ -811,7 +795,7 @@ func (sw *sweep) noteRedispatch(sr *shardRun, host string, err error) {
 // median completed-shard latency and steals the slowest shard onto an
 // idle healthy node when it falls StragglerFactor behind.
 func (sw *sweep) watchdog() {
-	t := time.NewTicker(sw.opts.WatchTick)
+	t := time.NewTicker(sw.f.opts.WatchTick)
 	defer t.Stop()
 	for {
 		select {
@@ -825,18 +809,18 @@ func (sw *sweep) watchdog() {
 		if med <= 0 {
 			continue // nothing completed yet: no baseline to judge by
 		}
-		cut := time.Duration(sw.opts.StragglerFactor * float64(med))
-		if cut < sw.opts.StragglerMin {
-			cut = sw.opts.StragglerMin
+		cut := time.Duration(sw.f.opts.StragglerFactor * float64(med))
+		if cut < sw.f.opts.StragglerMin {
+			cut = sw.f.opts.StragglerMin
 		}
 		now := time.Now()
 		for _, sr := range sw.shards {
 			if host, ok := sw.stragglerTarget(sr, now, cut); ok {
 				sw.mu.Lock()
-				sw.res.Stolen++
+				sw.d.Stolen++
 				sw.mu.Unlock()
 				sw.f.mu.Lock()
-				sw.f.stolen++
+				sw.f.stats.Stolen++
 				sw.f.mu.Unlock()
 				if sp := obs.SpanFrom(sw.ctx); sp != nil {
 					sp.Event("fleet.steal", obs.Int("shard", sr.shard.Index), obs.String("host", host))
@@ -921,9 +905,6 @@ func sortedDedup(s []int) []int {
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -289,56 +289,83 @@ func TestSweepBlackoutRedispatch(t *testing.T) {
 }
 
 // TestSweepStealsStraggler slows one node's service time two orders of
-// magnitude past its peer and checks the watchdog re-issues its shards
-// on the fast node, with at-most-once accounting keeping the front
-// intact.
+// magnitude past its peer and checks, for both sweep kinds, that the
+// watchdog re-issues its shards on the fast node, with at-most-once
+// accounting keeping the answer intact.
 func TestSweepStealsStraggler(t *testing.T) {
-	hosts, servers, hc := newNodes(t, 2)
-	opts := fastFleet(hosts, hc)
-	opts.StragglerFactor = 3
-	opts.StragglerMin = 25 * time.Millisecond
-	opts.WatchTick = 2 * time.Millisecond
-	f, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	for _, tc := range []struct {
+		name  string
+		plan  func(*Fleet) ([]*shardRun, error)
+		sweep func(*testing.T, *Fleet) Dispatch
+	}{
+		{"dse", func(f *Fleet) ([]*shardRun, error) {
+			runs, _, err := f.plan(fleetReq())
+			return runs, err
+		}, func(t *testing.T, f *Fleet) Dispatch {
+			res, err := f.Sweep(context.Background(), fleetReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if front, _ := truth(t, fleetReq()); !reflect.DeepEqual(res.Pareto, front) {
+				t.Fatalf("post-steal front != single-node front\nfleet:  %+v\nsingle: %+v", res.Pareto, front)
+			}
+			return res.Dispatch
+		}},
+		{"fusion", func(f *Fleet) ([]*shardRun, error) {
+			return f.planFusion(fusionFleetReq().WithDefaults())
+		}, func(t *testing.T, f *Fleet) Dispatch {
+			res, err := f.SweepFusion(context.Background(), fusionFleetReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fusionTruth(t, fusionFleetReq()); !reflect.DeepEqual(res.Points, want) {
+				t.Fatalf("post-steal points != local truth\nfleet: %+v\nlocal: %+v", res.Points, want)
+			}
+			return res.Dispatch
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hosts, servers, hc := newNodes(t, 2)
+			opts := fastFleet(hosts, hc)
+			opts.StragglerFactor = 3
+			opts.StragglerMin = 25 * time.Millisecond
+			opts.WatchTick = 2 * time.Millisecond
+			f, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
 
-	runs, _, err := f.plan(fleetReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	preferred := map[string]int{}
-	for _, sr := range runs {
-		preferred[sr.route[0]]++
-	}
-	var slow string
-	for _, h := range hosts {
-		if preferred[h] > 0 {
-			slow = h // any node that owns shards can straggle
-		}
-	}
-	if slow == "" {
-		t.Fatalf("routing spread %v assigns no shards", preferred)
-	}
-	servers[slow].SetChaos(serve.Chaos{Latency: 2 * time.Second})
+			runs, err := tc.plan(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preferred := map[string]int{}
+			for _, sr := range runs {
+				preferred[sr.route[0]]++
+			}
+			var slow string
+			for _, h := range hosts {
+				if preferred[h] > 0 {
+					slow = h // any node that owns shards can straggle
+				}
+			}
+			if slow == "" {
+				t.Fatalf("routing spread %v assigns no shards", preferred)
+			}
+			servers[slow].SetChaos(serve.Chaos{Latency: 2 * time.Second})
 
-	start := time.Now()
-	res, err := f.Sweep(context.Background(), fleetReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, _ := truth(t, fleetReq())
-	if !reflect.DeepEqual(res.Pareto, front) {
-		t.Fatalf("post-steal front != single-node front\nfleet:  %+v\nsingle: %+v", res.Pareto, front)
-	}
-	if res.Stolen == 0 {
-		t.Fatal("straggling node triggered no work-stealing")
-	}
-	// Every stalled shard was stolen onto the fast node well before the
-	// injected 2s service time elapsed.
-	if d := time.Since(start); d > 1500*time.Millisecond {
-		t.Fatalf("sweep took %v; stealing should beat the 2s straggler", d)
+			start := time.Now()
+			d := tc.sweep(t, f)
+			if d.Stolen == 0 {
+				t.Fatal("straggling node triggered no work-stealing")
+			}
+			// Every stalled shard was stolen onto the fast node well before
+			// the injected 2s service time elapsed.
+			if el := time.Since(start); el > 1500*time.Millisecond {
+				t.Fatalf("sweep took %v; stealing should beat the 2s straggler", el)
+			}
+		})
 	}
 }
 

@@ -193,18 +193,28 @@ func TestSweepFusionFailover(t *testing.T) {
 	}
 }
 
-// TestSweepFusionEmptyGrid pins the coordinator-side validation.
-func TestSweepFusionEmptyGrid(t *testing.T) {
-	hosts, _, hc := newNodes(t, 1)
-	f, err := New(fastFleet(hosts, hc))
+// TestSweepFusionUnknownModel pins the coordinator-side validation: an
+// unknown model is refused before the sweep is counted or any request
+// is sent, as Sweep refuses an unknown layer.
+func TestSweepFusionUnknownModel(t *testing.T) {
+	hosts, _, hc := newNodes(t, 2)
+	ex := &exchangeCounter{next: hc.Transport}
+	f, err := New(fastFleet(hosts, &http.Client{Transport: ex}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	before := f.Stats()
 	req := fusionFleetReq()
 	req.Model = "NoSuchNet"
 	if _, err := f.SweepFusion(context.Background(), req); err == nil {
 		t.Fatal("unknown model swept successfully")
+	}
+	if n := ex.n.Load(); n != 0 {
+		t.Errorf("sent %d requests for an unknown model, want 0", n)
+	}
+	if after := f.Stats(); !reflect.DeepEqual(after, before) {
+		t.Errorf("Stats moved from %+v to %+v after a refused sweep", before, after)
 	}
 }
 

@@ -270,11 +270,14 @@ func canonicalHash(kind string, v any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
-// sweepHashDSE keys a DSE sweep's journal: the defaulted request with
+// sweepHashDSE keys a DSE sweep's journal: the defaulted request, its
+// PE and P1 axes sorted and deduplicated as the plan cuts them, with
 // the delivery-only knobs (timeout, cache bypass, response truncation)
 // and any stray shard descriptor zeroed, so retries of the same sweep
 // resolve to the same file.
 func sweepHashDSE(req serve.DSERequest) (string, error) {
+	req = req.WithDefaults()
+	req.PEs, req.P1 = sortedDedup(req.PEs), sortedDedup(req.P1)
 	req.Shard = nil
 	req.TopK = 0
 	req.TimeoutMs = 0

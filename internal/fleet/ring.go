@@ -1,19 +1,18 @@
-// Package fleet coordinates distributed DSE sweeps: it shards a design
-// space along the PE-count and tile-knob axes, dispatches the shards to
-// a pool of maestro-serve nodes over the resilient client, and merges
-// the partial Pareto fronts incrementally as shards complete.
+// Package fleet coordinates distributed DSE and fusion sweeps: it cuts
+// a design space (PE-count and tile-knob axes, or a fusion budget grid)
+// into shards, runs them on a pool of maestro-serve nodes through one
+// shard runner, and merges the partial answers as shards complete.
 //
 // Routing is deterministic: shards hash onto a consistent ring over the
-// node set keyed by the canonical (layer, template, PE subset) triple —
-// the same key family the servers' profile caches are warmed by — and
-// are placed with bounded loads, so no node takes more than its even
-// share of a sweep while a repeated or follow-up sweep lands each shard
-// on the node that already holds its cluster walks. Node loss is
-// survived by walking the ring:
-// shards stranded behind a tripped circuit breaker re-dispatch to the
-// next healthy node, with at-most-once result accounting, and a
-// straggler watchdog steals the slowest shard onto an idle node when
-// one server falls far behind the pack.
+// node set keyed by the canonical (layer, template, PE subset) triple,
+// or (model, dataflow, hardware) for fusion — what the servers' profile
+// caches are warmed by — and are placed with bounded loads, so no node
+// takes more than its even share of a sweep while a repeated sweep
+// lands each shard on the node that already holds its profiles. Node
+// loss is survived by walking the ring: shards stranded behind a
+// tripped circuit breaker re-dispatch to the next healthy node, with
+// at-most-once result accounting, and a straggler watchdog steals the
+// slowest shard onto an idle node when one server falls far behind.
 package fleet
 
 import (

@@ -10,12 +10,37 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFleetStitchedTrace is the PR's acceptance check: a traced 2-node
-// sweep must assemble into a single stitched trace in which every
-// serve.compute span on every node is reachable from the coordinator's
-// fleet.sweep root by parent links, all spans share the sweep's trace
-// ID, and the Chrome export renders one process lane per node.
+// TestFleetStitchedTrace is the acceptance check for stitched traces,
+// for both sweep kinds: a traced 2-node sweep must assemble into a
+// single stitched trace in which every serve.compute span on every node
+// is reachable from the coordinator's fleet.sweep root by parent links,
+// all spans share the sweep's trace ID, and the Chrome export renders
+// one process lane per node.
 func TestFleetStitchedTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sweep func(context.Context, *Fleet) (Dispatch, error)
+	}{
+		{"dse", func(ctx context.Context, f *Fleet) (Dispatch, error) {
+			res, err := f.Sweep(ctx, fleetReq())
+			if err != nil {
+				return Dispatch{}, err
+			}
+			return res.Dispatch, nil
+		}},
+		{"fusion", func(ctx context.Context, f *Fleet) (Dispatch, error) {
+			res, err := f.SweepFusion(ctx, fusionFleetReq())
+			if err != nil {
+				return Dispatch{}, err
+			}
+			return res.Dispatch, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkStitchedTrace(t, tc.sweep) })
+	}
+}
+
+func checkStitchedTrace(t *testing.T, sweep func(context.Context, *Fleet) (Dispatch, error)) {
 	hosts, _, hc := newNodes(t, 2)
 	f, err := New(fastFleet(hosts, hc))
 	if err != nil {
@@ -25,7 +50,7 @@ func TestFleetStitchedTrace(t *testing.T) {
 
 	rec := obs.NewRecorder()
 	ctx := obs.WithRecorder(context.Background(), rec)
-	res, err := f.Sweep(ctx, fleetReq())
+	res, err := sweep(ctx, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,6 +112,22 @@ func DSERouteKey(layer tensor.Layer, template string, pes []int) Key {
 	return sha256.Sum256(b)
 }
 
+// FusionRouteKey hashes the (model, dataflow, resolved hardware) triple
+// the fleet coordinator routes fusion chunks on: what a node's mappings
+// and profiles depend on, whatever the budget or cap axes say. An
+// invalid hardware spec is the error /v1/fusion would answer with.
+func FusionRouteKey(req FusionRequest) (Key, error) {
+	cfg, err := resolveHW(req.HW)
+	if err != nil {
+		return Key{}, err
+	}
+	var buf [256]byte
+	b := appendString(buf[:0], "fusion-route")
+	b = appendString(b, req.Model)
+	b = appendString(b, req.Dataflow)
+	return sha256.Sum256(appendHW(b, cfg)), nil
+}
+
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

@@ -237,6 +237,44 @@ func dfSource(t *testing.T, name string) string {
 	return r.df.String()
 }
 
+// TestFusionRouteKey pins what fusion chunks route on: the model, the
+// dataflow and the resolved hardware, but not the budget or cap axes,
+// the shard, or how the hardware is spelled.
+func TestFusionRouteKey(t *testing.T) {
+	base := FusionRequest{Model: "AlexNet", HW: HWSpec{Preset: "Accel256"}, Dataflow: "KC-P",
+		L2Grid: []int64{1 << 16}, MaxGroupLayers: []int{1, 8}}
+	key := func(r FusionRequest) Key {
+		t.Helper()
+		k, err := FusionRouteKey(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	k0 := key(base)
+	same := base
+	same.L2Grid, same.MaxGroupLayers = []int64{0, 1 << 20}, []int{2}
+	same.Shard, same.TimeoutMs, same.NoCache = &FusionShard{Index: 1, Of: 2}, 50, true
+	same.HW.NumPEs = 256 // the preset's own PE count
+	if key(same) != k0 {
+		t.Error("route key depends on budgets, caps, shard, delivery knobs or hardware spelling")
+	}
+	for name, edit := range map[string]func(*FusionRequest){
+		"model":    func(r *FusionRequest) { r.Model = "VGG16" },
+		"dataflow": func(r *FusionRequest) { r.Dataflow = "YR-P" },
+		"hw":       func(r *FusionRequest) { r.HW.L2Bytes = 256 << 10 },
+	} {
+		r := base
+		edit(&r)
+		if key(r) == k0 {
+			t.Errorf("%s: route key unchanged", name)
+		}
+	}
+	if _, err := FusionRouteKey(FusionRequest{Model: "AlexNet", HW: HWSpec{Preset: "NoSuchChip"}}); err == nil {
+		t.Error("unknown hw preset hashed without an error")
+	}
+}
+
 func TestKeyString(t *testing.T) {
 	k := keyOf(0xAB)
 	s := k.String()

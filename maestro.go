@@ -535,12 +535,9 @@ type (
 	FleetStats = fleet.Stats
 	// FleetNodeStats is one node's share of fleet traffic.
 	FleetNodeStats = fleet.NodeStats
-	// FleetShardResult is one accepted shard response, streamed via
-	// FleetOptions.OnShard.
+	// FleetShardResult is one settled shard of either sweep kind,
+	// streamed via FleetOptions.OnShard.
 	FleetShardResult = fleet.ShardResult
-	// FleetFusionShardResult is one settled fusion chunk, streamed via
-	// FleetOptions.OnFusionShard.
-	FleetFusionShardResult = fleet.FusionShardResult
 	// FleetProbeOptions configures the active health prober
 	// (FleetOptions.Probe); a zero Interval disables probing.
 	FleetProbeOptions = fleet.ProbeOptions
