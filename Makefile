@@ -46,11 +46,12 @@ bench:
 	$(GO) test -bench . -benchmem -run xxx ./internal/serve
 
 # DSE throughput: warm-cache, cold-profile, and per-point-Analyze
-# variants of the Explore benchmark, the Profile/Price/PriceBatch and
-# profile-key microbenchmarks, a fixed-dataflow fusion schedule on a
-# warm profile cache, and the fusion sweeps of a fleet chunk and a
+# variants of the Explore benchmark; the one-shot Analyze (Profile then
+# a batch-of-one Price) beside each phase alone, PriceBatch and the
+# profile-key microbenchmarks; a fixed-dataflow fusion schedule on a
+# warm profile cache; and the fusion sweeps of a fleet chunk and a
 # /v1/fusion request (BenchmarkExploreFusion, which the BenchmarkExplore
-# pattern matches by prefix); the measured numbers are recorded in
+# pattern matches by prefix). The measured numbers are recorded in
 # BENCH_dse.json.
 bench-dse:
 	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/

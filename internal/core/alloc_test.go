@@ -11,14 +11,14 @@ import (
 
 // maxAllocsPerNode bounds the heap allocations of one cold cluster walk
 // per node of its DAG. A walk allocates per (level, sub-problem) node —
-// the resolved level, its reuse analysis, its counts or recorded cases —
+// the resolved level, its reuse analysis, its share of the sealed arena —
 // and nothing per data-iteration case, so the bound holds for layers
 // with few and with many cases alike.
 const maxAllocsPerNode = 16
 
-// TestWalkAllocsPerNode checks that Profile and Analyze allocate per
-// DAG node, not per data-iteration case, on every zoo layer under every
-// Table 3 dataflow that resolves on Accel256.
+// TestWalkAllocsPerNode checks that Profile and Analyze (Profile then
+// Price) allocate per DAG node, not per data-iteration case, on every
+// zoo layer under every Table 3 dataflow that resolves on Accel256.
 func TestWalkAllocsPerNode(t *testing.T) {
 	cfg := hw.Accel256()
 	combos := 0

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -112,25 +116,25 @@ func TestVectorWidthSpeedsCompute(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSubMatchesRoot: the exposed per-node analysis of the full
-// problem at level 0 must equal the end-to-end on-chip runtime.
-func TestAnalyzeSubMatchesRoot(t *testing.T) {
-	layer := smallConv()
-	cfg := testHW(4)
-	spec, err := dataflow.Resolve(outputStationary(), layer, cfg.NumPEs)
+// TestAnalyzeDataflowCtxSpans: a traced one-shot analysis records the
+// two phase spans every cached path records, "core.profile" then
+// "core.price", and answers exactly what AnalyzeDataflow answers.
+func TestAnalyzeDataflowCtxSpans(t *testing.T) {
+	layer, cfg := smallConv(), testHW(4)
+	rec := obs.NewRecorder()
+	got, err := AnalyzeDataflowCtx(obs.WithRecorder(context.Background(), rec), outputStationary(), layer, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Analyze(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if want := mustAnalyze(t, outputStationary(), layer, cfg); !reflect.DeepEqual(want, got) {
+		t.Fatalf("traced result differs from AnalyzeDataflow\nuntraced: %+v\ntraced:   %+v", want, got)
 	}
-	sub, err := AnalyzeSub(spec, cfg, 0, layer.Sizes)
-	if err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, s := range rec.Snapshot() {
+		names = append(names, s.Name)
 	}
-	if sub != full.OnChipRuntime {
-		t.Errorf("AnalyzeSub root = %d; OnChipRuntime = %d", sub, full.OnChipRuntime)
+	if want := []string{"core.profile", "core.price"}; !slices.Equal(names, want) {
+		t.Fatalf("spans = %v, want %v", names, want)
 	}
 }
 
@@ -189,38 +193,6 @@ func TestSparseImbalance(t *testing.T) {
 	}
 	if err := imb.CheckConservation(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAnalyzeAllMatchesSerial: the concurrent batch API must agree with
-// per-layer analysis.
-func TestAnalyzeAllMatchesSerial(t *testing.T) {
-	layers := []tensor.Layer{smallConv(), smallConv().Normalize()}
-	layers[1].Name = "second"
-	layers[1].Sizes = layers[1].Sizes.Set(tensor.K, 8)
-	cfg := testHW(4)
-	batch, errs := AnalyzeAll(outputStationary(), layers, cfg)
-	for i, l := range layers {
-		if errs[i] != nil {
-			t.Fatalf("layer %d: %v", i, errs[i])
-		}
-		serial := mustAnalyze(t, outputStationary(), l, cfg)
-		if batch[i].Runtime != serial.Runtime || batch[i].MACs != serial.MACs {
-			t.Errorf("layer %d: batch %d/%d vs serial %d/%d",
-				i, batch[i].Runtime, batch[i].MACs, serial.Runtime, serial.MACs)
-		}
-	}
-	// Failures stay per-layer.
-	bad := layers
-	bad = append(bad, tensor.Layer{Op: tensor.Conv2D, Sizes: tensor.Sizes{
-		tensor.N: 1, tensor.K: 1, tensor.C: 1, tensor.Y: 2, tensor.X: 2, tensor.R: 5, tensor.S: 5,
-	}}) // invalid: filter larger than activation
-	res, errs := AnalyzeAll(outputStationary(), bad, cfg)
-	if errs[2] == nil || res[2] != nil {
-		t.Error("invalid layer not reported positionally")
-	}
-	if errs[0] != nil {
-		t.Error("valid layer poisoned by invalid one")
 	}
 }
 

@@ -49,20 +49,6 @@ type counts struct {
 	finalOut int64          // final (fully reduced) output elements committed
 }
 
-func newCounts(buffers int) *counts {
-	// One backing array serves all three per-buffer tables; the full
-	// slice expressions keep an (impossible) append on one table from
-	// bleeding into the next.
-	tc := make([]TensorCounts, 3*buffers)
-	return &counts{
-		bufRead:  tc[:buffers:buffers],
-		bufWrite: tc[buffers : 2*buffers : 2*buffers],
-		bufReq:   tc[2*buffers:],
-		noc:      make([]int64, buffers-1),
-		peakBW:   make([]float64, buffers-1),
-	}
-}
-
 // addScaled accumulates o's additive fields scaled by times and merges
 // the max-style fields (peak bandwidth, buffer requirements).
 func (c *counts) addScaled(o *counts, times int64) {
@@ -86,6 +72,15 @@ func (c *counts) addScaled(o *counts, times int64) {
 	}
 	c.macs += o.macs * times
 	c.finalOut += o.finalOut * times
+}
+
+// weightDensity returns the weight density treating the pooling
+// convention (density 0 = "no weight tensor") as dense compute.
+func weightDensity(l tensor.Layer) float64 {
+	if l.Density[tensor.Weight] == 0 {
+		return 1
+	}
+	return l.Density[tensor.Weight]
 }
 
 // scaleCount applies a density fraction to an element count.

@@ -15,11 +15,12 @@ import (
 
 // FuzzPriceBatch is the differential fuzz pass for the batch pricing
 // engine: random layer shapes × dataflows × mixed-validity config
-// batches, with the sequential Price as the oracle. It pins the full
-// contract — every valid lane bit-identical to Price, nil results
-// exactly on the lanes whose configs fail, the joined error unwrapping
-// to the same sentinel the scalar path reports, and invalid neighbors
-// never poisoning valid lanes.
+// batches, with the sequential Price and the fused oracle walk as
+// references. It pins the full contract — every valid lane bit-identical
+// to Price and to the oracle, nil results exactly on the lanes whose
+// configs fail, the joined error unwrapping to the same sentinel the
+// scalar path reports, and invalid neighbors never poisoning valid
+// lanes.
 func FuzzPriceBatch(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(3), uint8(0b1010))
@@ -87,6 +88,14 @@ func FuzzPriceBatch(f *testing.F) {
 			if !reflect.DeepEqual(want, rs[i]) {
 				t.Fatalf("lane %d (%s): batch diverged from sequential Price\nprice: %+v\nbatch: %+v",
 					i, cfg.Name, want, rs[i])
+			}
+			oracle, err := oracleAnalyze(spec, cfg)
+			if err != nil {
+				t.Fatalf("lane %d: oracle rejected a config Price accepted: %v", i, err)
+			}
+			if !reflect.DeepEqual(oracle, rs[i]) {
+				t.Fatalf("lane %d (%s): batch diverged from the oracle walk\noracle: %+v\nbatch:  %+v",
+					i, cfg.Name, oracle, rs[i])
 			}
 		}
 	})

@@ -6,18 +6,19 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/dataflow"
 	"repro/internal/hw"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
-// Price prices a recorded profile under one hardware configuration. The
-// result is bit-identical to Analyze(profile.Spec(), cfg): pricing
-// replays exactly the hardware-dependent arithmetic of the fused engine
-// — VectorWidth/SparseImbalance at the leaves, Multicast/Reduction
-// capabilities and Delay/DelayPer of the per-level NoC models, and the
-// per-case outstanding-delay max — over the recorded quantities.
+// Price prices a recorded profile under one hardware configuration:
+// the hardware-dependent arithmetic of the analysis — VectorWidth and
+// SparseImbalance at the leaves, the Multicast/Reduction capabilities
+// and Delay/DelayPer of the per-level NoC models, and the per-case
+// outstanding-delay max — over the recorded quantities.
+// Analyze(profile.Spec(), cfg) is exactly this call after the walk.
 func Price(p *LayerProfile, cfg hw.Config) (*Result, error) {
 	return p.Price(cfg)
 }
@@ -167,12 +168,7 @@ func (p *LayerProfile) priceBatchInto(sc *batchScratch, cfgs []hw.Config, result
 	sc.cfgs = sc.cfgs[:0]
 	for i := range cfgs {
 		c := cfgs[i].Normalize()
-		err := c.Validate()
-		if err == nil && p.spec.NumPEs != c.NumPEs {
-			err = fmt.Errorf("%w: core: spec resolved for %d PEs but hardware has %d",
-				hw.ErrInvalidConfig, p.spec.NumPEs, c.NumPEs)
-		}
-		if err != nil {
+		if err := checkConfig(p.spec, c); err != nil {
 			sc.errs[i] = err
 			anyErr = true
 			continue
@@ -242,22 +238,42 @@ func (p *LayerProfile) priceBatchInto(sc *batchScratch, cfgs []hw.Config, result
 
 	rootNode := nNodes - 1
 	for l, lane := range sc.lanes {
-		root := nodeRes{
-			runtime: sc.runtimes[rootNode*nl+l],
-			counts:  &sc.counts[rootSlot*nl+l],
-		}
-		fillResult(&resArr[l], p.spec, sc.cfgs[l], &root)
+		fillResult(&resArr[l], p.spec, sc.cfgs[l], sc.runtimes[rootNode*nl+l], &sc.counts[rootSlot*nl+l])
 		results[lane] = &resArr[l]
 	}
 	return anyErr
 }
 
-// priceLevelBatch replays analyzeLevel's hardware-dependent arithmetic
-// over one level node's recorded cases for every lane at once. The
-// loop nest is cases-outer, lanes-inner: each recorded quantity is
-// loaded once per case and priced against all configurations while it
-// is hot. Per-lane arithmetic is fully independent, which is what makes
-// the batch bit-identical to pricing each configuration alone.
+// checkConfig rejects an invalid normalized configuration, and one
+// whose PE count differs from the count spec was resolved for.
+func checkConfig(spec *dataflow.Spec, cfg hw.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if spec.NumPEs != cfg.NumPEs {
+		return fmt.Errorf("%w: core: spec resolved for %d PEs but hardware has %d",
+			hw.ErrInvalidConfig, spec.NumPEs, cfg.NumPEs)
+	}
+	return nil
+}
+
+// leafRuntime prices the PE pass: effective MACs at VectorWidth per
+// cycle, stretched by the zero-skipping load imbalance when modeled.
+func leafRuntime(psums, eff int64, layer tensor.Layer, cfg hw.Config) int64 {
+	runtime := (eff + int64(cfg.VectorWidth) - 1) / int64(cfg.VectorWidth)
+	if cfg.SparseImbalance {
+		d := layer.Density[tensor.Input] * weightDensity(layer)
+		runtime = int64(float64(runtime)*imbalanceFactor(psums, d, cfg.NumPEs) + 0.5)
+	}
+	return runtime
+}
+
+// priceLevelBatch prices one level node's recorded cases for every lane
+// at once. The loop nest is cases-outer, lanes-inner: each recorded
+// quantity is loaded once per case and priced against all
+// configurations while it is hot. Per-lane arithmetic is fully
+// independent, which is what makes the batch bit-identical to pricing
+// each configuration alone.
 func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 	level := int(p.nodeLevel[node])
 	slot := int(p.nodeSlot[node])
@@ -277,7 +293,6 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 		inUnion := &p.caseInUnion[j]
 		egPerPE := p.caseEgPerPE[j]
 		egUnion := p.caseEgUnion[j]
-		caseReq := &p.caseBufReq[j]
 		childRts := sc.runtimes[child*nl : (child+1)*nl]
 
 		for l := 0; l < nl; l++ {
@@ -342,19 +357,16 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 				p.accumChild(sc, c, edgeChild, occ, nl, l)
 			}
 			p.accumChild(sc, c, child, occ*mainPEs, nl, l)
-			for k := range caseReq {
-				if caseReq[k] > c.bufReq[level][k] {
-					c.bufReq[level][k] = caseReq[k]
-				}
-			}
 		}
 	}
 
-	// Final flush, per lane.
+	// Final flush, per lane. Children stage below this level, so the
+	// level's requirement is the node's own.
 	flEgPerPE := p.flushEgPerPE[slot]
 	flEgUnion := p.flushEgUnion[slot]
 	flActive := p.flushActive[slot]
 	for l := 0; l < nl; l++ {
+		cnts[l].bufReq[level] = p.bufReq[node]
 		nocm := &nocms[l]
 		egWrites, egTraffic := flEgUnion, flEgUnion
 		var rmwReads int64
@@ -381,10 +393,10 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 }
 
 // accumChild folds one priced child into its parent's lane accumulator.
-// Leaves are inlined: their recorded activity has exactly four nonzero
-// additive entries (L1 operand reads and the accumulator write, all
-// equal to the effective MACs) plus the L1 staging requirement, so the
-// general addScaled sweep over every buffer level would only add zeros.
+// Leaves are inlined: a PE's activity has exactly four nonzero additive
+// entries (L1 operand reads and the accumulator write, all equal to the
+// effective MACs) plus the L1 staging requirement, so the general
+// addScaled sweep over every buffer level would only add zeros.
 func (p *LayerProfile) accumChild(sc *batchScratch, c *counts, child int, times int64, nl, l int) {
 	if times == 0 {
 		return
@@ -398,7 +410,7 @@ func (p *LayerProfile) accumChild(sc *batchScratch, c *counts, child int, times 
 		c.bufRead[nlv][tensor.Output] += times * eff
 		c.bufWrite[nlv][tensor.Output] += times * eff
 		c.macs += times * p.leafPsums[s]
-		req := &p.leafBufReq[s]
+		req := &p.bufReq[child]
 		for k := range req {
 			if req[k] > c.bufReq[nlv][k] {
 				c.bufReq[nlv][k] = req[k]

@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/dataflows"
+	"repro/internal/energy"
 	"repro/internal/hw"
+	"repro/internal/models"
 	"repro/internal/noc"
 	"repro/internal/tensor"
 )
@@ -86,7 +88,7 @@ func randomDataflow(rng *rand.Rand, i int) (dataflow.Dataflow, error) {
 // priced runtime must never increase (more wires can't slow a pipe
 // model down), and at every sampled bandwidth both the scalar Price and
 // the corresponding PriceBatch lane (the whole axis priced in one walk)
-// must remain bit-identical to the fused Analyze engine.
+// must remain bit-identical to the fused oracle walk.
 func TestPriceBandwidthMonotonicProperty(t *testing.T) {
 	const pes = 64
 	rng := rand.New(rand.NewSource(0xda7af10))
@@ -123,21 +125,21 @@ func TestPriceBandwidthMonotonicProperty(t *testing.T) {
 		prevRuntime := int64(-1)
 		for p, cfg := range cfgs {
 			bw := cfg.NoCs[0].Bandwidth
-			want, errA := Analyze(spec, cfg)
+			want, errO := oracleAnalyze(spec, cfg)
 			got, errP := prof.Price(cfg)
-			if (errA == nil) != (errP == nil) {
-				t.Fatalf("case %d (%s/%s) bw=%.2f: error mismatch: analyze=%v price=%v",
-					i, df.Name, layer.Name, bw, errA, errP)
+			if (errO == nil) != (errP == nil) {
+				t.Fatalf("case %d (%s/%s) bw=%.2f: error mismatch: oracle=%v price=%v",
+					i, df.Name, layer.Name, bw, errO, errP)
 			}
-			if errA != nil {
-				t.Fatalf("case %d (%s/%s) bw=%.2f: Analyze: %v", i, df.Name, layer.Name, bw, errA)
+			if errO != nil {
+				t.Fatalf("case %d (%s/%s) bw=%.2f: oracle: %v", i, df.Name, layer.Name, bw, errO)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("case %d (%s/%s) bw=%.2f: Price diverged from Analyze\nanalyze: %+v\nprice:   %+v",
+				t.Fatalf("case %d (%s/%s) bw=%.2f: Price diverged from the oracle\noracle: %+v\nprice:  %+v",
 					i, df.Name, layer.Name, bw, want, got)
 			}
 			if !reflect.DeepEqual(want, batch[p]) {
-				t.Fatalf("case %d (%s/%s) bw=%.2f: PriceBatch diverged from Analyze\nanalyze: %+v\nbatch:   %+v",
+				t.Fatalf("case %d (%s/%s) bw=%.2f: PriceBatch diverged from the oracle\noracle: %+v\nbatch:  %+v",
 					i, df.Name, layer.Name, bw, want, batch[p])
 			}
 			if prevRuntime >= 0 && got.Runtime > prevRuntime {
@@ -150,5 +152,148 @@ func TestPriceBandwidthMonotonicProperty(t *testing.T) {
 	}
 	if checked < 24 {
 		t.Fatalf("property pass too sparse: only %d resolvable cases out of 200 draws", checked)
+	}
+}
+
+// mirrorDim swaps the row and column roles of a dimension: Y with X and
+// R with S.
+func mirrorDim(d tensor.Dim) tensor.Dim {
+	switch d {
+	case tensor.Y:
+		return tensor.X
+	case tensor.X:
+		return tensor.Y
+	case tensor.R:
+		return tensor.S
+	case tensor.S:
+		return tensor.R
+	}
+	return d
+}
+
+// mirrorLayer transposes a layer's rows and columns: the Y/X and R/S
+// sizes and the two strides swap.
+func mirrorLayer(l tensor.Layer) tensor.Layer {
+	m := l
+	for _, d := range tensor.AllDims() {
+		m.Sizes[mirrorDim(d)] = l.Sizes[d]
+	}
+	m.StrideY, m.StrideX = l.StrideX, l.StrideY
+	return m
+}
+
+// mirrorDataflow swaps the same dimensions in every directive and in
+// every Sz term of its sizes and offsets. It copies the terms, so the
+// shared Table 3 dataflows stay untouched.
+func mirrorDataflow(df dataflow.Dataflow) dataflow.Dataflow {
+	expr := func(e dataflow.SizeExpr) dataflow.SizeExpr {
+		m := dataflow.SizeExpr{Const: e.Const}
+		for _, t := range e.Terms {
+			m.Terms = append(m.Terms, dataflow.SizeTerm{Dim: mirrorDim(t.Dim), Coef: t.Coef})
+		}
+		return m
+	}
+	m := dataflow.Dataflow{Name: df.Name, Directives: make([]dataflow.Directive, len(df.Directives))}
+	for i, d := range df.Directives {
+		d.Dim = mirrorDim(d.Dim)
+		d.Size, d.Offset = expr(d.Size), expr(d.Offset)
+		m.Directives[i] = d
+	}
+	return m
+}
+
+// TestXYRelabellingProperty: the model has no preferred spatial axis.
+// A layer with its rows and columns swapped, analyzed under the
+// dataflow with the same swap, reproduces every Result field but Layer,
+// for every zoo layer under every Table 3 dataflow that resolves on
+// Accel256 and for random layers whose rows and columns differ.
+func TestXYRelabellingProperty(t *testing.T) {
+	cfg := hw.Accel256()
+	var layers []tensor.Layer
+	for _, name := range models.Zoo() {
+		m, _ := models.ByName(name)
+		for _, li := range m.Layers {
+			layers = append(layers, li.Layer)
+		}
+	}
+	rng := rand.New(rand.NewSource(0x5e1f))
+	for i := 0; i < 48; i++ {
+		l := randomConv(rng, i)
+		l.StrideY, l.StrideX = 1+rng.Intn(2), 1+rng.Intn(2)
+		layers = append(layers, l)
+	}
+	checked := 0
+	for _, layer := range layers {
+		for _, name := range dataflows.Names {
+			df := dataflows.Get(name)
+			want, err := AnalyzeDataflow(df, layer, cfg)
+			if err != nil {
+				continue // mapping not applicable to this shape
+			}
+			got, err := AnalyzeDataflow(mirrorDataflow(df), mirrorLayer(layer), cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: the mirror failed where the original analyzed: %v", name, layer.Name, err)
+			}
+			got.Layer = want.Layer
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s/%s: the mirror's result differs\noriginal: %+v\nmirror:   %+v",
+					name, layer.Name, want, got)
+			}
+			checked++
+		}
+	}
+	if checked < 970 {
+		t.Fatalf("only %d layer × dataflow pairs analyzed, want at least the 970 zoo pairs", checked)
+	}
+	t.Logf("%d layer × dataflow pairs mirror exactly", checked)
+}
+
+// TestEnergyLinearityProperty: energy is exactly linear in each
+// energy-table entry. Doubling one entry doubles exactly its Breakdown
+// component and leaves every other component bit-equal, for every zoo
+// layer under every Table 3 dataflow on Accel256.
+func TestEnergyLinearityProperty(t *testing.T) {
+	cfg := hw.Accel256()
+	entries := []struct {
+		name  string
+		entry func(*energy.Table) *float64
+		part  func(*energy.Breakdown) *float64
+	}{
+		{"MAC", func(t *energy.Table) *float64 { return &t.MAC }, func(b *energy.Breakdown) *float64 { return &b.MAC }},
+		{"L1Read", func(t *energy.Table) *float64 { return &t.L1Read }, func(b *energy.Breakdown) *float64 { return &b.L1Read }},
+		{"L1Write", func(t *energy.Table) *float64 { return &t.L1Write }, func(b *energy.Breakdown) *float64 { return &b.L1Write }},
+		{"L2Read", func(t *energy.Table) *float64 { return &t.L2Read }, func(b *energy.Breakdown) *float64 { return &b.L2Read }},
+		{"L2Write", func(t *energy.Table) *float64 { return &t.L2Write }, func(b *energy.Breakdown) *float64 { return &b.L2Write }},
+		{"NoCHop", func(t *energy.Table) *float64 { return &t.NoCHop }, func(b *energy.Breakdown) *float64 { return &b.NoC }},
+		{"DRAM", func(t *energy.Table) *float64 { return &t.DRAM }, func(b *energy.Breakdown) *float64 { return &b.DRAM }},
+	}
+	checked := 0
+	for _, name := range models.Zoo() {
+		m, _ := models.ByName(name)
+		for _, li := range m.Layers {
+			for _, dfName := range dataflows.Names {
+				r, err := AnalyzeDataflow(dataflows.Get(dfName), li.Layer, cfg)
+				if err != nil {
+					continue
+				}
+				table := energy.TableFor(r.L1ReqBytes(), r.L2ReqBytes(), cfg.NumPEs)
+				base := r.Energy(table)
+				for _, e := range entries {
+					doubled := table
+					*e.entry(&doubled) *= 2
+					got := r.Energy(doubled)
+					want := base
+					*e.part(&want) *= 2
+					if got != want {
+						t.Fatalf("%s/%s/%s: doubling %s gives %+v, want %+v",
+							name, li.Layer.Name, dfName, e.name, got, want)
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 970 {
+		t.Fatalf("only %d zoo pairs analyzed, want 970", checked)
 	}
 }

@@ -78,10 +78,9 @@ func equivConfigs(pes int) []hw.Config {
 	return cfgs
 }
 
-// TestPriceEquivalence asserts Price(Profile(spec), cfg) reproduces
-// Analyze(spec, cfg) field for field over the Table 3 dataflows ×
-// model-zoo layers × hardware matrix — the acceptance bar for the
-// profile/price split.
+// TestPriceEquivalence asserts Price(Profile(spec), cfg) and
+// Analyze(spec, cfg) reproduce the fused oracle walk field for field
+// over the Table 3 dataflows × model-zoo layers × hardware matrix.
 func TestPriceEquivalence(t *testing.T) {
 	const pes = 64
 	layers := equivLayers(t)
@@ -98,18 +97,22 @@ func TestPriceEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s: Profile: %v", df.Name, layer.Name, err)
 			}
 			for _, cfg := range cfgs {
-				want, errA := Analyze(spec, cfg)
+				want, errO := oracleAnalyze(spec, cfg)
 				got, errP := prof.Price(cfg)
-				if (errA == nil) != (errP == nil) {
-					t.Fatalf("%s/%s/%s: error mismatch: analyze=%v price=%v",
-						df.Name, layer.Name, cfg.Name, errA, errP)
+				if (errO == nil) != (errP == nil) {
+					t.Fatalf("%s/%s/%s: error mismatch: oracle=%v price=%v",
+						df.Name, layer.Name, cfg.Name, errO, errP)
 				}
-				if errA != nil {
+				if errO != nil {
 					continue
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s/%s/%s: Price result differs from Analyze\nanalyze: %+v\nprice:   %+v",
+					t.Fatalf("%s/%s/%s: Price result differs from the oracle\noracle: %+v\nprice:  %+v",
 						df.Name, layer.Name, cfg.Name, want, got)
+				}
+				if one, err := Analyze(spec, cfg); err != nil || !reflect.DeepEqual(want, one) {
+					t.Fatalf("%s/%s/%s: Analyze differs from the oracle (err=%v)\noracle:  %+v\nanalyze: %+v",
+						df.Name, layer.Name, cfg.Name, err, want, one)
 				}
 				compared++
 			}
@@ -335,6 +338,49 @@ func TestPriceRejectsPEMismatch(t *testing.T) {
 	}
 }
 
+// TestProfileConcurrent walks many specs from many goroutines at once;
+// with -race this proves a pooled profiler's recording never leaks into
+// another walk: every profile equals the one a lone walk builds.
+func TestProfileConcurrent(t *testing.T) {
+	const pes = 64
+	var specs []*dataflow.Spec
+	var want []*LayerProfile
+	for _, df := range dataflows.All() {
+		for _, layer := range equivLayers(t) {
+			spec, err := dataflow.Resolve(df, layer, pes)
+			if err != nil {
+				continue
+			}
+			prof, err := Profile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs, want = append(specs, spec), append(want, prof)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range specs {
+				j := (i + w) % len(specs) // goroutines walk in different orders
+				got, err := Profile(specs[j])
+				if err != nil {
+					t.Errorf("profile: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(want[j], got) {
+					t.Errorf("%s/%s: concurrent Profile differs from a lone walk",
+						specs[j].Dataflow.Name, specs[j].Layer.Name)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestPriceSharedProfileConcurrent prices one shared profile from many
 // goroutines under different configs; run with -race this catches any
 // mutation of the recorded DAG (the leaf counts are shared read-only).
@@ -540,9 +586,10 @@ func BenchmarkPriceBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileVsAnalyze compares the fused one-shot engine against
-// the split phases: Profile (the expensive walk, paid once) and Price
-// (the cheap per-hardware-point replay, paid per configuration).
+// BenchmarkProfileVsAnalyze measures the one-shot Analyze (Profile then
+// a batch-of-one Price) and each phase alone: Profile (the expensive
+// walk, paid once per mapping) and Price (the cheap per-hardware-point
+// pricing, paid per configuration).
 func BenchmarkProfileVsAnalyze(b *testing.B) {
 	const pes = 256
 	layer := models.VGG16().Layers[10].Layer

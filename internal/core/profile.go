@@ -4,8 +4,8 @@
 // models, the ALU vector width, and the sparsity-imbalance pricing touch
 // hw.Config). Profile runs that walk once per (dataflow, layer, numPEs)
 // and records, per case, the hardware-independent quantities: per-tensor
-// ingress (per-PE and union), egress, occurrence counts, active
-// sub-clusters, and buffer requirements. Price (price.go) then re-prices
+// ingress (per-PE and union), egress, occurrence counts and active
+// sub-clusters, plus each node's buffer requirement. Price (price.go) then re-prices
 // the recorded DAG under any hardware point in microseconds, which is
 // what lets the DSE sweep the NoC-bandwidth axis without re-running the
 // engine.
@@ -13,6 +13,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/dataflow"
 	"repro/internal/obs"
@@ -42,6 +43,10 @@ type LayerProfile struct {
 	nodeLevel []int32 // cluster level; == nlv marks a leaf
 	nodeSlot  []int32 // dense index into the level-node or leaf arrays
 	caseStart []int32 // node i's cases span [caseStart[i], caseStart[i+1])
+	// bufReq is the double-buffered staging requirement at the node's
+	// own buffer: the PE's L1 for a leaf, the largest over a level
+	// node's cases otherwise.
+	bufReq []TensorCounts
 
 	// Level-node arrays, indexed by nodeSlot of non-leaf nodes.
 	outputReduced []bool
@@ -50,9 +55,8 @@ type LayerProfile struct {
 	flushActive   []int64
 
 	// Leaf arrays, indexed by nodeSlot of leaves.
-	leafPsums  []int64        // dense MACs of the tile
-	leafEff    []int64        // density-scaled effective MACs
-	leafBufReq []TensorCounts // double-buffered L1 staging requirement
+	leafPsums []int64 // dense MACs of the tile
+	leafEff   []int64 // density-scaled effective MACs
 
 	// Per-case arrays, indexed by global case index. Semantics match the
 	// recording profCase field for field; first/final live in caseFlags.
@@ -65,7 +69,6 @@ type LayerProfile struct {
 	caseEgUnion   []int64
 	caseInPerPE   []TensorCounts
 	caseInUnion   []TensorCounts
-	caseBufReq    []TensorCounts
 
 	// levelNodes/leafNodes size the pricing scratch.
 	levelNodes int
@@ -96,25 +99,33 @@ func (p *LayerProfile) Cases() int {
 	return int(p.caseStart[len(p.caseStart)-1])
 }
 
-// profNode is one memoized (level, sub-problem) node in the profiler's
-// transient recording format. The walk is recursive — a case's children
-// (and their cases) are recorded mid-enumeration — so per-node case
-// slices are the natural shape while recording; seal flattens them into
-// the LayerProfile arena once the walk completes. Leaves carry their
-// precomputed activity (fully hardware-independent); cluster levels
-// carry the recorded cases plus the final-flush quantities.
-type profNode struct {
+// memoKey identifies a (cluster level, sub-problem) node. Edge chunks at
+// outer levels shrink the sub-problem, so the same level is analyzed for
+// the handful of distinct tile shapes that occur (the paper reports <20
+// such edge sub-cases across levels, which holds here too).
+type memoKey struct {
 	level int
-	leaf  bool
+	dims  tensor.Sizes
+}
+
+// profNode is one memoized (level, sub-problem) node in the profiler's
+// transient recording format; seal flattens the nodes and their cases
+// into the LayerProfile arena once the walk completes. Leaves carry
+// their MAC counts (fully hardware-independent); cluster levels carry
+// their case count plus the final-flush quantities, and their cases sit
+// in profiler.cases.
+type profNode struct {
+	level  int
+	leaf   bool
+	bufReq TensorCounts // double-buffered staging requirement at the node's buffer
 
 	// Leaf fields.
-	psums      int64   // dense MACs of the tile
-	eff        int64   // density-scaled effective MACs
-	leafCounts *counts // activity; shared read-only across Price calls
+	psums int64 // dense MACs of the tile
+	eff   int64 // density-scaled effective MACs
 
 	// Cluster-level fields.
 	outputReduced bool
-	cases         []profCase
+	ncases        int
 	flushEgPerPE  int64
 	flushEgUnion  int64
 	flushActive   int64
@@ -137,17 +148,31 @@ type profCase struct {
 	inUnion TensorCounts // union (deduplicated) ingress per tensor
 	egPerPE int64        // per-PE egress (output slice displaced)
 	egUnion int64        // union egress
-	bufReq  TensorCounts // double-buffered staging requirement at this level
 }
 
-// profiler mirrors engine but records case quantities instead of pricing
-// them.
+// profiler walks one spec's cluster levels and records each node's case
+// quantities for Price.
 type profiler struct {
 	spec  *dataflow.Spec
 	layer tensor.Layer
 	nlv   int
 	memo  map[memoKey]int32
 	nodes []profNode
+
+	// cases holds the level nodes' cases in p.nodes order, each node's
+	// contiguous. The walk is recursive — a case's children (and their
+	// cases) are recorded mid-enumeration — so a node in progress pushes
+	// its cases onto stack, above its ancestors' and below its
+	// descendants', and moves them here once it completes.
+	cases []profCase
+	stack []profCase
+
+	// Initial backing for nodes, cases and stack, sized for the zoo's
+	// walks (at most 5 nodes and 21 cases under the Table 3 dataflows),
+	// so a fresh profiler costs one allocation besides its memo.
+	nodeBuf  [8]profNode
+	caseBuf  [32]profCase
+	stackBuf [32]profCase
 }
 
 // Profile runs the hardware-independent phase of the analysis on a
@@ -155,34 +180,46 @@ type profiler struct {
 // node DAG with per-case traffic quantities. The result prices against
 // any hardware configuration with the spec's PE count via Price.
 func Profile(spec *dataflow.Spec) (*LayerProfile, error) {
-	p := &profiler{
-		spec:  spec,
-		layer: spec.Layer,
-		nlv:   spec.NumLevels(),
-		memo:  make(map[memoKey]int32),
-	}
+	p := profilerPool.Get().(*profiler)
+	defer profilerPool.Put(p)
+	p.reset(spec)
 	if _, err := p.profile(0, spec.Layer.Sizes); err != nil {
 		return nil, err
 	}
 	return p.seal(spec), nil
 }
 
-// seal flattens the transient pointer-linked recording into the
-// LayerProfile's struct-of-arrays arena. Arrays of the same element type
-// share one exact-size backing allocation (full slice expressions keep
-// an impossible append on one view from bleeding into its neighbor), so
+// profilerPool recycles the walk's transient recording (memo, nodes,
+// cases and their stack) across Profile calls; only the sealed arena
+// escapes a walk.
+var profilerPool = sync.Pool{New: func() any {
+	p := &profiler{memo: make(map[memoKey]int32)}
+	p.nodes, p.cases, p.stack = p.nodeBuf[:0], p.caseBuf[:0], p.stackBuf[:0]
+	return p
+}}
+
+// reset readies a pooled profiler for a walk over spec.
+func (p *profiler) reset(spec *dataflow.Spec) {
+	p.spec, p.layer, p.nlv = spec, spec.Layer, spec.NumLevels()
+	clear(p.memo)
+	p.nodes, p.cases, p.stack = p.nodes[:0], p.cases[:0], p.stack[:0]
+}
+
+// seal flattens the transient recording into the LayerProfile's
+// struct-of-arrays arena. Arrays of the same element type share one
+// exact-size backing allocation (full slice expressions keep an
+// impossible append on one view from bleeding into its neighbor), so
 // the whole DAG ends up in a handful of contiguous blocks the pricing
 // sweep streams through in order.
 func (p *profiler) seal(spec *dataflow.Spec) *LayerProfile {
 	lp := &LayerProfile{spec: spec, nlv: p.nlv}
 	nn := len(p.nodes)
-	ncases := 0
+	ncases := len(p.cases)
 	for i := range p.nodes {
 		if p.nodes[i].leaf {
 			lp.leafNodes++
 		} else {
 			lp.levelNodes++
-			ncases += len(p.nodes[i].cases)
 		}
 	}
 	ln, lf := lp.levelNodes, lp.leafNodes
@@ -205,11 +242,10 @@ func (p *profiler) seal(spec *dataflow.Spec) *LayerProfile {
 	lp.caseEgPerPE, i64 = i64[:ncases:ncases], i64[ncases:]
 	lp.caseEgUnion = i64[:ncases:ncases]
 
-	tc := make([]TensorCounts, lf+3*ncases)
-	lp.leafBufReq, tc = tc[:lf:lf], tc[lf:]
+	tc := make([]TensorCounts, nn+2*ncases)
+	lp.bufReq, tc = tc[:nn:nn], tc[nn:]
 	lp.caseInPerPE, tc = tc[:ncases:ncases], tc[ncases:]
-	lp.caseInUnion, tc = tc[:ncases:ncases], tc[ncases:]
-	lp.caseBufReq = tc[:ncases:ncases]
+	lp.caseInUnion = tc[:ncases:ncases]
 
 	lp.outputReduced = make([]bool, ln)
 	lp.caseFlags = make([]uint8, ncases)
@@ -219,13 +255,13 @@ func (p *profiler) seal(spec *dataflow.Spec) *LayerProfile {
 		n := &p.nodes[i]
 		lp.nodeLevel[i] = int32(n.level)
 		lp.caseStart[i] = int32(nextCase)
+		lp.bufReq[i] = n.bufReq
 		if n.leaf {
 			s := nextLeaf
 			nextLeaf++
 			lp.nodeSlot[i] = s
 			lp.leafPsums[s] = n.psums
 			lp.leafEff[s] = n.eff
-			lp.leafBufReq[s] = n.leafCounts.bufReq[p.nlv]
 			continue
 		}
 		s := nextLevel
@@ -235,9 +271,9 @@ func (p *profiler) seal(spec *dataflow.Spec) *LayerProfile {
 		lp.flushEgPerPE[s] = n.flushEgPerPE
 		lp.flushEgUnion[s] = n.flushEgUnion
 		lp.flushActive[s] = n.flushActive
-		for ci := range n.cases {
-			cs := &n.cases[ci]
+		for range n.ncases {
 			j := nextCase
+			cs := &p.cases[j]
 			nextCase++
 			lp.caseOcc[j] = cs.occ
 			lp.caseActive[j] = cs.active
@@ -253,7 +289,6 @@ func (p *profiler) seal(spec *dataflow.Spec) *LayerProfile {
 			lp.caseEgUnion[j] = cs.egUnion
 			lp.caseInPerPE[j] = cs.inPerPE
 			lp.caseInUnion[j] = cs.inUnion
-			lp.caseBufReq[j] = cs.bufReq
 		}
 	}
 	lp.caseStart[nn] = int32(nextCase)
@@ -300,17 +335,28 @@ func (p *profiler) profile(level int, dims tensor.Sizes) (int32, error) {
 	return idx, nil
 }
 
-// profileLeaf records one PE tile: its dense and effective MACs plus the
-// (hardware-independent) scratchpad activity.
+// profileLeaf records one PE tile: its dense and effective MACs and
+// the double-buffered L1 requirement of its three tensors. The PE's ALU
+// performs the effective MACs, reading both operands and reading and
+// writing the accumulator in its L1 scratchpad; Price charges that
+// activity from eff.
 func (p *profiler) profileLeaf(dims tensor.Sizes) profNode {
-	c := leafCounts(p.layer, dims, p.nlv)
-	eff := scaleCount(c.macs, p.layer.Density[tensor.Input]*weightDensity(p.layer))
-	return profNode{level: p.nlv, leaf: true, psums: c.macs, eff: eff, leafCounts: c}
+	psums := psumsFor(p.layer, dims)
+	n := profNode{
+		level: p.nlv, leaf: true, psums: psums,
+		eff: scaleCount(psums, p.layer.Density[tensor.Input]*weightDensity(p.layer)),
+	}
+	for _, k := range tensor.AllKinds() {
+		n.bufReq[k] = 2 * scaleCount(tileForDims(p.layer, dims, k), p.layer.Density[k])
+	}
+	return n
 }
 
-// profileLevel mirrors engine.analyzeLevel case for case, recording the
-// raw per-PE/union quantities each case's pricing needs instead of
-// applying a NoC model to them.
+// profileLevel enumerates the data-iteration cases of one cluster level
+// — the very first step, plus, for every multi-step loop, the steps at
+// which that loop advances, crossed with first/steady/edge classes of
+// the loops outside it (Figure 8's ExtractDataIterationCases) — and
+// records the raw per-PE/union quantities each case's pricing needs.
 func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) {
 	lv, err := p.spec.Level(level, dims)
 	if err != nil {
@@ -334,11 +380,20 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 	}
 
 	n := profNode{level: level, outputReduced: a.OutputReduced()}
+	base := len(p.stack)
 
 	var edgeBuf, oldEdgeBuf [maxLoops]bool
 	edges, oldEdges := edgeBuf[:nloops], oldEdgeBuf[:nloops]
+	// The staging requirement depends only on a case's chunks and active
+	// sub-clusters, which consecutive cases mostly share.
+	reqCh, reqActive := tensor.Sizes{}, -1
 
+	// record records one data-iteration case. adv == -1 is the level's
+	// first step; otherwise loop adv advances with the loops inside it
+	// reset and the loops outside it at the classes in cls.
 	record := func(adv int, cls []loopClass, occ int64) error {
+		// Chunk selection on arrival: a loop at its (clipped) final index
+		// uses its edge chunk.
 		for i, lc := range cls {
 			edges[i] = lc.last && !loops[i].IsFold && loops[i].Map.HasEdge()
 		}
@@ -349,6 +404,8 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 		} else if foldLast {
 			active = lv.LastFoldActive
 		}
+		// Partial-sum staging flags: does the arriving output tile carry
+		// prior partials (re-read), and is the departing tile final?
 		redNonFirst, redAllLast := false, true
 		for i := 0; i < nloops; i++ {
 			if i == adv || loops[i].Steps < 2 || a.Affects(tensor.Output, i) {
@@ -385,8 +442,7 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 		// Ingress quantities, with the partial-sum revisit decision for
 		// outputs resolved here (it depends only on the case structure).
 		for _, k := range tensor.AllKinds() {
-			perPE := a.NewData(k, adv, ch, false, 1)
-			union := a.NewData(k, adv, ch, true, active)
+			perPE, union := a.NewData(k, adv, ch, active)
 			if k == tensor.Output {
 				revisit := false
 				if adv >= 0 {
@@ -423,15 +479,19 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 			}
 			chOld := a.Chunks(oldEdges, false)
 			d := p.layer.Density[tensor.Output]
-			cs.egPerPE = scaleCount(a.NewData(tensor.Output, adv, chOld, false, 1), d)
-			cs.egUnion = scaleCount(a.NewData(tensor.Output, adv, chOld, true, oldActive), d)
+			egPerPE, egUnion := a.NewData(tensor.Output, adv, chOld, oldActive)
+			cs.egPerPE, cs.egUnion = scaleCount(egPerPE, d), scaleCount(egUnion, d)
 			cs.final = a.Affects(tensor.Output, adv) && redAllLast
 		}
 
-		for _, k := range tensor.AllKinds() {
-			cs.bufReq[k] = 2 * scaleCount(a.UnionTile(k, ch, active), p.layer.Density[k])
+		// This level's parent stages the union tile, double buffered.
+		if ch != reqCh || active != reqActive {
+			reqCh, reqActive = ch, active
+			for _, k := range tensor.AllKinds() {
+				n.bufReq[k] = max(n.bufReq[k], 2*scaleCount(a.UnionTile(k, ch, active), p.layer.Density[k]))
+			}
 		}
-		n.cases = append(n.cases, cs)
+		p.stack = append(p.stack, cs)
 		return nil
 	}
 
@@ -441,6 +501,9 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 			return profNode{}, err
 		}
 	}
+	n.ncases = len(p.stack) - base
+	p.cases = append(p.cases, p.stack[base:]...)
+	p.stack = p.stack[:base]
 
 	// Final flush: every loop at its final index, the last fold active.
 	for i, lp := range loops {

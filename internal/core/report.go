@@ -66,31 +66,26 @@ type Result struct {
 	sizes TensorCounts
 }
 
-func buildResult(spec *dataflow.Spec, cfg hw.Config, root *nodeRes) *Result {
-	r := &Result{}
-	fillResult(r, spec, cfg, root)
-	return r
-}
-
-// fillResult writes one priced root into a caller-provided Result slot;
-// PriceBatch fills a preallocated []Result this way so a whole batch
-// costs one slice allocation. The slice-valued tables retain the root
-// accumulator's backing.
-func fillResult(r *Result, spec *dataflow.Spec, cfg hw.Config, root *nodeRes) {
+// fillResult writes one priced root — its on-chip runtime and its
+// activity — into a caller-provided Result slot; PriceBatch fills a
+// preallocated []Result this way so a whole batch costs one slice
+// allocation. The slice-valued tables retain the root accumulator's
+// backing.
+func fillResult(r *Result, spec *dataflow.Spec, cfg hw.Config, runtime int64, c *counts) {
 	layer := spec.Layer
 	*r = Result{
 		Layer:         layer,
 		DataflowName:  spec.Dataflow.Name,
 		Cfg:           cfg,
 		UsedPEs:       spec.UsedPEs(),
-		OnChipRuntime: root.runtime,
-		MACs:          root.counts.macs,
-		FinalOutputs:  root.counts.finalOut,
-		BufRead:       root.counts.bufRead,
-		BufWrite:      root.counts.bufWrite,
-		BufReq:        root.counts.bufReq,
-		NoCTraffic:    root.counts.noc,
-		PeakBW:        root.counts.peakBW,
+		OnChipRuntime: runtime,
+		MACs:          c.macs,
+		FinalOutputs:  c.finalOut,
+		BufRead:       c.bufRead,
+		BufWrite:      c.bufWrite,
+		BufReq:        c.bufReq,
+		NoCTraffic:    c.noc,
+		PeakBW:        c.peakBW,
 	}
 	for _, k := range tensor.AllKinds() {
 		r.sizes[k] = scaleCount(layer.TensorSize(k), layer.Density[k])

@@ -305,10 +305,11 @@ func (a *Analysis) UnionTile(k tensor.Kind, ch tensor.Sizes, active int) int64 {
 }
 
 // NewData returns how many elements of tensor k must be newly staged when
-// loop li advances, for the given chunk sizes. With union=true the amount
-// is aggregated across `active` sub-clusters (unique elements); otherwise
-// it is per sub-cluster. li == -1 denotes the level's very first step
-// (everything is new). The temporal-reuse rules are:
+// loop li advances, for the given chunk sizes: per sub-cluster, and
+// aggregated across `active` sub-clusters (unique elements). Both come
+// from one decomposition of the tile into axes. li == -1 denotes the
+// level's very first step (everything is new). The temporal-reuse rules
+// are:
 //
 //   - the loop doesn't change the tile and no inner loop does either -> 0
 //     (full stationarity);
@@ -316,54 +317,46 @@ func (a *Analysis) UnionTile(k tensor.Kind, ch tensor.Sizes, active int) int64 {
 //     non-overlapping slice is new (sliding-window/halo reuse);
 //   - otherwise the whole tile is refetched (the double-buffered local
 //     store only holds the live tile).
-func (a *Analysis) NewData(k tensor.Kind, li int, ch tensor.Sizes, union bool, active int) int64 {
-	n := 1
-	if union {
-		n = active
-	}
-	axs := a.axes(k, ch, n)
-	tile := int64(1)
+func (a *Analysis) NewData(k tensor.Kind, li int, ch tensor.Sizes, active int) (perPE, union int64) {
+	axs := a.axes(k, ch, active)
+	perPE, union = 1, 1
 	for _, ax := range axs.list() {
-		if union {
-			tile *= ax.union
-		} else {
-			tile *= ax.perPE
-		}
+		perPE *= ax.perPE
+		union *= ax.union
 	}
 	if li < 0 {
-		return tile
+		return perPE, union
 	}
 	lp := a.Loops[li]
 	if !a.Affects(k, li) {
 		if a.InnerAffecting(k, li) {
-			return tile
+			return perPE, union
 		}
-		return 0
+		return 0, 0
 	}
 	if a.InnerAffecting(k, li) || lp.IsFold {
 		// Fold advances reshuffle every sub-cluster's spatial chunk; no
 		// inter-PE forwarding is assumed, so no reuse credit.
-		return tile
+		return perPE, union
 	}
 	d := lp.Map.Dim
 	shift := int64(a.shiftOf(k, d, lp.Map.Offset))
 	for _, ax := range axs.list() {
-		if !ax.dims.Has(d) {
-			continue
+		if ax.dims.Has(d) {
+			return slide(perPE, ax.perPE, shift), slide(union, ax.union, shift)
 		}
-		extent := ax.perPE
-		if union {
-			extent = ax.union
-		}
-		if extent <= 0 {
-			return tile
-		}
-		if shift > extent {
-			shift = extent
-		}
-		return tile / extent * shift
 	}
-	return tile
+	return perPE, union
+}
+
+// slide returns the part of a tile that is new after the tile moves by
+// shift along an axis of the given extent: one slice of the tile per
+// shifted element, at most the whole tile.
+func slide(tile, extent, shift int64) int64 {
+	if extent <= 0 {
+		return tile
+	}
+	return tile / extent * min(shift, extent)
 }
 
 // shiftOf returns the tile shift along tensor k's axis when dimension d

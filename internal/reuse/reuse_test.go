@@ -23,6 +23,12 @@ func fixture(t *testing.T, layer tensor.Layer, pes int, dirs ...dataflow.Directi
 	return New(lv, spec.Layer)
 }
 
+// newPerPE is NewData's per-sub-cluster amount.
+func newPerPE(a *Analysis, k tensor.Kind, li int, ch tensor.Sizes) int64 {
+	n, _ := a.NewData(k, li, ch, 1)
+	return n
+}
+
 func refLayer() tensor.Layer {
 	return tensor.Layer{
 		Name: "ref", Op: tensor.Conv2D,
@@ -177,23 +183,23 @@ func TestNewDataStationarity(t *testing.T) {
 		}
 	}
 	// Advancing Y: weights fully reused (stationary).
-	if got := a.NewData(tensor.Weight, yIdx, ch, false, 1); got != 0 {
+	if got := newPerPE(a, tensor.Weight, yIdx, ch); got != 0 {
 		t.Errorf("weight refetch on Y advance = %d; want 0", got)
 	}
 	// Advancing Y: input slides by one row => one new row of X elements.
-	if got := a.NewData(tensor.Input, yIdx, ch, false, 1); got != int64(refLayer().Sizes.Get(tensor.X)) {
+	if got := newPerPE(a, tensor.Input, yIdx, ch); got != int64(refLayer().Sizes.Get(tensor.X)) {
 		t.Errorf("input new on Y advance = %d; want %d", got, refLayer().Sizes.Get(tensor.X))
 	}
 	// Advancing C (outer to Y): input has multi-step inner coupled dim
 	// (Y) => full refetch; weights likewise.
-	if got, tile := a.NewData(tensor.Input, cIdx, ch, false, 1), a.TileOf(tensor.Input, ch); got != tile {
+	if got, tile := newPerPE(a, tensor.Input, cIdx, ch), a.TileOf(tensor.Input, ch); got != tile {
 		t.Errorf("input new on C advance = %d; want full tile %d", got, tile)
 	}
-	if got, tile := a.NewData(tensor.Weight, cIdx, ch, false, 1), a.TileOf(tensor.Weight, ch); got != tile {
+	if got, tile := newPerPE(a, tensor.Weight, cIdx, ch), a.TileOf(tensor.Weight, ch); got != tile {
 		t.Errorf("weight new on C advance = %d; want full tile %d", got, tile)
 	}
 	// First step: everything is new.
-	if got, tile := a.NewData(tensor.Weight, -1, ch, false, 1), a.TileOf(tensor.Weight, ch); got != tile {
+	if got, tile := newPerPE(a, tensor.Weight, -1, ch), a.TileOf(tensor.Weight, ch); got != tile {
 		t.Errorf("weight first fetch = %d; want %d", got, tile)
 	}
 }
@@ -214,12 +220,12 @@ func TestNewDataOutputStationaryOverReduction(t *testing.T) {
 			cIdx = i
 		}
 	}
-	if got := a.NewData(tensor.Output, cIdx, ch, false, 1); got != 0 {
+	if got := newPerPE(a, tensor.Output, cIdx, ch); got != 0 {
 		t.Errorf("output moved on C advance: %d new elements", got)
 	}
 	if !a.InnerAffecting(tensor.Input, 1) {
 		// Y advance with inner multi-step C: input forfeits halo credit.
-		ydata := a.NewData(tensor.Input, 1, ch, false, 1)
+		ydata := newPerPE(a, tensor.Input, 1, ch)
 		if ydata != a.TileOf(tensor.Input, ch) {
 			t.Errorf("expected full refetch with inner C loop, got %d", ydata)
 		}
@@ -316,14 +322,15 @@ func TestReuseProperties(t *testing.T) {
 			if union > layer.TensorSize(k) && !a.SpatiallyVaries(k) {
 				return false
 			}
-			// New data on any advance never exceeds the tile.
+			// New data on any advance never exceeds the tile, per
+			// sub-cluster or across them.
 			for li := range a.Loops {
-				nd := a.NewData(k, li, ch, false, 1)
-				if nd < 0 || nd > tile {
+				nd, ndUnion := a.NewData(k, li, ch, lv.SubClusters)
+				if nd < 0 || nd > tile || ndUnion < 0 || ndUnion > union {
 					return false
 				}
 			}
-			if first := a.NewData(k, -1, ch, false, 1); first != tile {
+			if first := newPerPE(a, k, -1, ch); first != tile {
 				return false
 			}
 		}

@@ -51,6 +51,12 @@ func loopOf(a *reuse.Analysis, d tensor.Dim) int {
 	return -1
 }
 
+// newPerPE is NewData's per-sub-cluster amount.
+func newPerPE(a *reuse.Analysis, k tensor.Kind, li int, ch tensor.Sizes) int64 {
+	n, _ := a.NewData(k, li, ch, 1)
+	return n
+}
+
 // TestFig5A: SpatialMap(1,1) X'; TemporalMap(1,1) S — output-stationary:
 // outputs are temporally reduced in place while S sweeps, and the filter
 // weights are spatially multicast.
@@ -61,7 +67,7 @@ func TestFig5A(t *testing.T) {
 	)
 	ch := a.SteadyChunks()
 	sIdx := loopOf(a, tensor.S)
-	if got := a.NewData(tensor.Output, sIdx, ch, false, 1); got != 0 {
+	if got := newPerPE(a, tensor.Output, sIdx, ch); got != 0 {
 		t.Errorf("output moved while S advances: %d (not output-stationary)", got)
 	}
 	if a.SpatiallyVaries(tensor.Weight) {
@@ -91,11 +97,11 @@ func TestFig5B(t *testing.T) {
 	if foldIdx < 0 {
 		t.Fatal("no fold loop: X' should fold on 3 PEs")
 	}
-	if got := a.NewData(tensor.Weight, foldIdx, ch, false, 1); got != 0 {
+	if got := newPerPE(a, tensor.Weight, foldIdx, ch); got != 0 {
 		t.Errorf("weights refetched across X' folds: %d (not weight-stationary)", got)
 	}
 	// Advancing S refetches the single weight element.
-	if got := a.NewData(tensor.Weight, loopOf(a, tensor.S), ch, false, 1); got != 1 {
+	if got := newPerPE(a, tensor.Weight, loopOf(a, tensor.S), ch); got != 1 {
 		t.Errorf("S advance fetched %d weights; want 1", got)
 	}
 }
@@ -116,7 +122,7 @@ func TestFig5D(t *testing.T) {
 	}
 	// Weight stays put while X' sweeps.
 	ch := a.SteadyChunks()
-	if got := a.NewData(tensor.Weight, loopOf(a, tensor.X), ch, false, 1); got != 0 {
+	if got := newPerPE(a, tensor.Weight, loopOf(a, tensor.X), ch); got != 0 {
 		t.Errorf("weights refetched per output: %d", got)
 	}
 }
@@ -132,7 +138,7 @@ func TestFig5E(t *testing.T) {
 	ch := a.SteadyChunks()
 	xIdx := loopOf(a, tensor.X)
 	tile := a.TileOf(tensor.Input, ch)
-	nd := a.NewData(tensor.Input, xIdx, ch, false, 1)
+	nd := newPerPE(a, tensor.Input, xIdx, ch)
 	if nd <= 0 || nd >= tile {
 		t.Errorf("input new-per-step = %d of tile %d; want partial temporal reuse", nd, tile)
 	}

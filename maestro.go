@@ -217,8 +217,8 @@ var (
 	// Profile runs the recursive cluster walk once on a resolved dataflow
 	// and records the hardware-independent case quantities.
 	Profile = core.Profile
-	// Price re-prices a profile under a hardware configuration; the
-	// result is bit-identical to AnalyzeSpec on the same inputs.
+	// Price prices a profile under a hardware configuration;
+	// AnalyzeSpec is Profile followed by this call.
 	Price = core.Price
 	// PriceBatch prices a profile under many hardware configurations in
 	// one DAG walk; results[i] is bit-identical to Price(p, cfgs[i]).
@@ -234,10 +234,6 @@ var (
 	// endpoint, and AnalyzeCached share.
 	SharedProfileCache = core.DefaultProfileCache
 )
-
-// AnalyzeAll analyzes many layers concurrently under one dataflow and
-// configuration, preserving order.
-var AnalyzeAll = core.AnalyzeAll
 
 // Simulate runs the step-accurate reference simulator on a resolved
 // dataflow (the Figure 9 validation path).
