@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-dse bench-serve bench-fleet soak-fleet serve clean
+.PHONY: all build vet test examples sloc race fuzz bench bench-dse bench-serve bench-fleet soak-fleet serve clean
 
 all: vet build test
 
@@ -15,6 +15,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Run every example once; any non-zero exit fails the target. The build
+# and the tests only compile them.
+examples:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null; done
+
+# Lines of non-test Go outside e2ebench/ (the benchmark's own module):
+# the count that ROADMAP's net-line targets and CHANGES.md quote.
+sloc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './e2ebench/*' -print0 | xargs -0 cat | wc -l
 
 # The serve subsystem is concurrency-heavy; run the whole tree under
 # the race detector before shipping.

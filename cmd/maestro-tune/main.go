@@ -11,10 +11,12 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,31 +29,37 @@ import (
 )
 
 func main() {
-	modelName := flag.String("model", "MobileNetV2", "built-in model to tune")
-	pes := flag.Int("pes", 256, "number of PEs")
-	bw := flag.Float64("bw", 32, "NoC GB/s")
-	objective := flag.String("objective", "runtime", "runtime, energy, or edp")
-	out := flag.String("o", "", "output network file (default stdout)")
-	hwFile := flag.String("hw", "", "accelerator description file")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the search to this file")
-	flag.Parse()
-
-	var m models.Model
-	found := false
-	zoo := append(models.EvaluationModels(), models.AlexNet(), models.GoogLeNet(), models.DCGAN())
-	for _, cand := range zoo {
-		if cand.Name == *modelName {
-			m, found = cand, true
-			break
-		}
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if !found {
-		fatal(fmt.Errorf("unknown model %q", *modelName))
+	fmt.Fprintln(os.Stderr, "maestro-tune:", err)
+	os.Exit(1)
+}
+
+// run is the whole tool behind a testable seam: flags in, the tuned
+// network file on stdout (or -o), progress on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("maestro-tune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelName := fs.String("model", "MobileNetV2", "built-in zoo model to tune")
+	pes := fs.Int("pes", 256, "number of PEs")
+	bw := fs.Float64("bw", 32, "NoC GB/s")
+	objective := fs.String("objective", "runtime", "runtime, energy, or edp")
+	out := fs.String("o", "", "output network file (default stdout)")
+	hwFile := fs.String("hw", "", "accelerator description file")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the search to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	m, ok := models.ByName(*modelName)
+	if !ok {
+		return fmt.Errorf("unknown model %q (have %s)", *modelName, strings.Join(models.Zoo(), ", "))
+	}
 	cfg, err := pickHW(*hwFile, *pes, *bw)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opt := tuner.Options{}
 	switch *objective {
@@ -62,19 +70,8 @@ func main() {
 	case "edp":
 		opt.Objective = tuner.MinEDP
 	default:
-		fatal(fmt.Errorf("unknown objective %q", *objective))
+		return fmt.Errorf("unknown objective %q", *objective)
 	}
-
-	w := bufio.NewWriter(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
-	}
-	defer w.Flush()
 
 	ctx := context.Background()
 	var rec *obs.Recorder
@@ -83,6 +80,7 @@ func main() {
 		ctx = obs.WithRecorder(ctx, rec)
 	}
 
+	w := new(bytes.Buffer)
 	fmt.Fprintf(w, "// %s tuned for %s on %d PEs (objective: %s)\n",
 		m.Name, cfg.Name, cfg.NumPEs, *objective)
 	fmt.Fprintf(w, "Network %s {\n", sanitize(m.Name))
@@ -90,19 +88,28 @@ func main() {
 	for _, li := range m.Layers {
 		ch, err := tuner.TuneLayerCtx(ctx, li.Layer, cfg, opt)
 		if err != nil {
-			fatal(fmt.Errorf("layer %s: %w", li.Layer.Name, err))
+			return fmt.Errorf("layer %s: %w", li.Layer.Name, err)
 		}
 		total += ch.Result.Runtime * int64(li.Count)
 		writeLayer(w, li.Layer, ch)
 	}
 	fmt.Fprintln(w, "}")
-	fmt.Fprintf(os.Stderr, "tuned %d layer shapes; total runtime %d cycles\n", len(m.Layers), total)
+	if *out != "" {
+		err = os.WriteFile(*out, w.Bytes(), 0o644)
+	} else {
+		_, err = stdout.Write(w.Bytes())
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "tuned %d layer shapes; total runtime %d cycles\n", len(m.Layers), total)
 	if rec != nil {
 		if err := writeTrace(*tracePath, rec); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", rec.Len(), *tracePath)
+		fmt.Fprintf(stderr, "wrote %d spans to %s\n", rec.Len(), *tracePath)
 	}
+	return nil
 }
 
 func writeTrace(path string, rec *obs.Recorder) error {
@@ -117,7 +124,7 @@ func writeTrace(path string, rec *obs.Recorder) error {
 	return f.Close()
 }
 
-func writeLayer(w *bufio.Writer, l tensor.Layer, ch tuner.Choice) {
+func writeLayer(w *bytes.Buffer, l tensor.Layer, ch tuner.Choice) {
 	fmt.Fprintf(w, "  // %s: %d cycles (%.1f%% utilization)\n",
 		ch.Dataflow.Name, ch.Result.Runtime, 100*ch.Result.Utilization())
 	fmt.Fprintf(w, "  Layer %s {\n", sanitize(l.Name))
@@ -165,9 +172,4 @@ func pickHW(hwFile string, pes int, gbps float64) (hw.Config, error) {
 	m := noc.Bus(noc.GBpsToElems(gbps, 1, 1))
 	m.Reduction = true
 	return hw.Config{Name: "cli", NumPEs: pes, NoCs: []noc.Model{m}}.Normalize(), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "maestro-tune:", err)
-	os.Exit(1)
 }

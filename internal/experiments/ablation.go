@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/dataflows"
-	"repro/internal/hetero"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/noc"
@@ -133,64 +134,37 @@ func AblationPEScaling(w io.Writer, _ Options) error {
 // subset.
 func AblationTuner(w io.Writer, opt Options) error {
 	m := models.ResNet50()
-	layers := m.Layers
 	if opt.Quick {
-		layers = layers[:6]
+		m.Layers = m.Layers[:6]
 	}
 	cfg := hw.Accel256()
-	fmt.Fprintf(w, "Ablation: auto-tuner vs fixed/adaptive dataflows (%s, %d layer shapes)\n", m.Name, len(layers))
+	fmt.Fprintf(w, "Ablation: auto-tuner vs fixed/adaptive dataflows (%s, %d layer shapes)\n", m.Name, len(m.Layers))
 	tw := newTab(w)
 	fmt.Fprintln(tw, "strategy\truntime (cyc)\tvs best fixed")
 
 	var bestFixed int64
 	var bestName string
-	for _, name := range dataflows.Names {
-		var rt int64
-		ok := true
-		for _, li := range layers {
-			r := analyzeOrSkip(dataflows.Get(name), li.Layer, cfg)
-			if r == nil {
-				ok = false
-				break
-			}
-			rt += r.Runtime * int64(li.Count)
-		}
-		if !ok {
+	for _, df := range dataflows.All() {
+		t := tuner.Sum(m, tuner.Fixed(df, cfg))
+		if t.Unmapped > 0 {
 			continue
 		}
-		fmt.Fprintf(tw, "fixed %s\t%s\t\n", name, fmtEng(float64(rt)))
-		if bestName == "" || rt < bestFixed {
-			bestName, bestFixed = name, rt
+		fmt.Fprintf(tw, "fixed %s\t%s\t\n", df.Name, fmtEng(float64(t.Runtime)))
+		if bestName == "" || t.Runtime < bestFixed {
+			bestName, bestFixed = df.Name, t.Runtime
 		}
 	}
 
-	var adaptive int64
-	for _, li := range layers {
-		var best int64 = -1
-		for _, name := range dataflows.Names {
-			r := analyzeOrSkip(dataflows.Get(name), li.Layer, cfg)
-			if r == nil {
-				continue
-			}
-			if best < 0 || r.Runtime < best {
-				best = r.Runtime
-			}
-		}
-		adaptive += best * int64(li.Count)
-	}
+	adaptive := tuner.Sum(m, tuner.Best(dataflows.All(), cfg, tuner.MinRuntime)).Runtime
 	fmt.Fprintf(tw, "adaptive (5 fixed)\t%s\t%.2fx\n",
 		fmtEng(float64(adaptive)), float64(bestFixed)/float64(adaptive))
 
-	var tuned int64
-	for _, li := range layers {
-		ch, err := tuner.TuneLayer(li.Layer, cfg, tuner.Options{Objective: tuner.MinRuntime})
-		if err != nil {
-			return err
-		}
-		tuned += ch.Result.Runtime * int64(li.Count)
+	tuned := tuner.Sum(m, tuner.Tuned(cfg, tuner.Options{Objective: tuner.MinRuntime}))
+	if tuned.Unmapped > 0 {
+		return fmt.Errorf("ablation: the tuner cannot map %d %s layers", tuned.Unmapped, m.Name)
 	}
 	fmt.Fprintf(tw, "auto-tuned (tile search)\t%s\t%.2fx\n",
-		fmtEng(float64(tuned)), float64(bestFixed)/float64(tuned))
+		fmtEng(float64(tuned.Runtime)), float64(bestFixed)/float64(tuned.Runtime))
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -240,36 +214,57 @@ func Ablations(w io.Writer, opt Options) error {
 // against homogeneous 2x128-PE chips, on MobileNetV2's mixed operators.
 func AblationHetero(w io.Writer, _ Options) error {
 	m := models.MobileNetV2()
-	sub := func(pes int) hw.Config {
-		nm := noc.Bus(16)
-		nm.Reduction = true
-		return hw.Config{Name: "sub", NumPEs: pes, NoCs: []noc.Model{nm}}.Normalize()
-	}
+	sub := subAccel(128)
 	fmt.Fprintln(w, "Ablation: heterogeneous chip (2x128 PEs, MobileNetV2)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "chip\tlatency (cyc)\tpipeline bound (cyc/inf)\tenergy (mJ)")
-	for _, dfName := range dataflows.Names {
-		p, err := hetero.Evaluate(m, hetero.Homogeneous(dfName, 2, dataflows.Get(dfName), sub(128)))
-		if err != nil {
+	for _, df := range dataflows.All() {
+		t, loads := chip(m, []dataflow.Dataflow{df, df}, sub)
+		if t.Unmapped > 0 {
 			continue
 		}
 		fmt.Fprintf(tw, "homogeneous %s\t%s\t%s\t%.1f\n",
-			dfName, fmtEng(float64(p.LatencyCycles)), fmtEng(float64(p.PipelineBound)), mJ(p.EnergyPJ))
+			df.Name, fmtEng(float64(t.Runtime)), fmtEng(float64(slices.Max(loads))), mJ(t.EnergyPJ))
 	}
-	het, err := hetero.Evaluate(m, []hetero.SubAccel{
-		{Name: "act", Dataflow: dataflows.Get("YX-P"), Cfg: sub(128)},
-		{Name: "chan", Dataflow: dataflows.Get("KC-P"), Cfg: sub(128)},
-	})
-	if err != nil {
-		return err
+	het, loads := chip(m, []dataflow.Dataflow{dataflows.Get("YX-P"), dataflows.Get("KC-P")}, sub)
+	if het.Unmapped > 0 {
+		return fmt.Errorf("ablation: the heterogeneous chip cannot map %d %s layers", het.Unmapped, m.Name)
 	}
+	bound := slices.Max(loads)
 	fmt.Fprintf(tw, "heterogeneous YX-P+KC-P\t%s\t%s\t%.1f\n",
-		fmtEng(float64(het.LatencyCycles)), fmtEng(float64(het.PipelineBound)), mJ(het.EnergyPJ))
+		fmtEng(float64(het.Runtime)), fmtEng(float64(bound)), mJ(het.EnergyPJ))
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "pipeline utilization of the heterogeneous chip: %.0f%%\n", 100*het.Utilization())
+	// Utilization: the chip's total load over (stages * bound).
+	fmt.Fprintf(w, "pipeline utilization of the heterogeneous chip: %.0f%%\n",
+		100*float64(het.Runtime)/float64(bound*int64(len(loads))))
 	return nil
+}
+
+// subAccel is one sub-accelerator of the heterogeneous-chip ablation.
+func subAccel(pes int) hw.Config {
+	nm := noc.Bus(16)
+	nm.Reduction = true
+	return hw.Config{Name: "sub", NumPEs: pes, NoCs: []noc.Model{nm}}.Normalize()
+}
+
+// chip rolls m up on a chip of sub-accelerators, one per dataflow of
+// dfs, each configured as cfg. Each layer runs on the sub-accelerator
+// that runs it fastest, the first winning ties. One inference at a time,
+// the chip's latency is the roll-up's runtime. loads[i] is
+// sub-accelerator i's share of it: when the sub-accelerators pipeline a
+// stream of inferences, the busiest one's load bounds the cycles per
+// inference.
+func chip(m models.Model, dfs []dataflow.Dataflow, cfg hw.Config) (tuner.Totals, []int64) {
+	t := tuner.Sum(m, tuner.Best(dfs, cfg, tuner.MinRuntime))
+	loads := make([]int64, len(dfs))
+	for i, ch := range t.Choices {
+		if ch.Result != nil {
+			loads[ch.Index] += ch.Result.Runtime * int64(m.Layers[i].Count)
+		}
+	}
+	return t, loads
 }
 
 // AblationSparseImbalance contrasts ideal zero-skipping with the

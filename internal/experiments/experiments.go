@@ -14,9 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/dataflows"
 	"repro/internal/hw"
-	"repro/internal/models"
 	"repro/internal/tensor"
 )
 
@@ -62,67 +60,6 @@ func analyzeOrSkip(df dataflow.Dataflow, layer tensor.Layer, cfg hw.Config) *cor
 		return nil
 	}
 	return r
-}
-
-// modelCost aggregates runtime (cycles) and on-chip energy (pJ) of a
-// whole model under one dataflow, split by operator class.
-type modelCost struct {
-	runtime  int64
-	energyPJ float64
-	byClass  [models.NumClasses]struct {
-		runtime  int64
-		energyPJ float64
-	}
-	unmapped int
-}
-
-func costOfModel(m models.Model, df dataflow.Dataflow, cfg hw.Config) modelCost {
-	var mc modelCost
-	for _, li := range m.Layers {
-		r := analyzeOrSkip(df, li.Layer, cfg)
-		if r == nil {
-			mc.unmapped++
-			continue
-		}
-		e := r.EnergyDefault().OnChip() * float64(li.Count)
-		rt := r.Runtime * int64(li.Count)
-		mc.runtime += rt
-		mc.energyPJ += e
-		mc.byClass[li.Class].runtime += rt
-		mc.byClass[li.Class].energyPJ += e
-	}
-	return mc
-}
-
-// bestPerLayer implements the adaptive dataflow of Section 5.1: per
-// layer, the dataflow minimizing the given metric.
-func bestPerLayer(m models.Model, cfg hw.Config, metric func(*core.Result) float64) modelCost {
-	var mc modelCost
-	for _, li := range m.Layers {
-		var best *core.Result
-		bestV := 0.0
-		for _, df := range dataflows.All() {
-			r := analyzeOrSkip(df, li.Layer, cfg)
-			if r == nil {
-				continue
-			}
-			if v := metric(r); best == nil || v < bestV {
-				best, bestV = r, v
-			}
-		}
-		if best == nil {
-			mc.unmapped++
-			continue
-		}
-		e := best.EnergyDefault().OnChip() * float64(li.Count)
-		rt := best.Runtime * int64(li.Count)
-		mc.runtime += rt
-		mc.energyPJ += e
-		cl := models.Classify(li.Layer)
-		mc.byClass[cl].runtime += rt
-		mc.byClass[cl].energyPJ += e
-	}
-	return mc
 }
 
 // newTab returns a tabwriter for aligned experiment tables.

@@ -3,13 +3,15 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/dataflows"
 	"repro/internal/hw"
 	"repro/internal/models"
+	"repro/internal/tuner"
 )
 
 // TestAllExperimentsRun smoke-tests every harness in quick mode.
@@ -98,14 +100,68 @@ func TestFig10Shape(t *testing.T) {
 	m := models.Model{Name: "sub", Layers: vgg.Layers[:4]}
 	var bestFixed int64
 	for i, df := range dataflows.All() {
-		mc := costOfModel(m, df, cfg)
-		if i == 0 || mc.runtime < bestFixed {
-			bestFixed = mc.runtime
+		rt := tuner.Sum(m, tuner.Fixed(df, cfg)).Runtime
+		if i == 0 || rt < bestFixed {
+			bestFixed = rt
 		}
 	}
-	ad := bestPerLayer(m, cfg, func(r *core.Result) float64 { return float64(r.Runtime) })
-	if ad.runtime > bestFixed {
-		t.Errorf("adaptive (%d) worse than best fixed (%d)", ad.runtime, bestFixed)
+	ad := tuner.Sum(m, tuner.Best(dataflows.All(), cfg, tuner.MinRuntime))
+	if ad.Runtime > bestFixed {
+		t.Errorf("adaptive (%d) worse than best fixed (%d)", ad.Runtime, bestFixed)
+	}
+}
+
+// TestHeteroBeatsHomogeneousOnMixedModel: MobileNetV2 mixes point-wise
+// and depth-wise operators with opposite dataflow preferences, the
+// paper's motivating case, so the YX-P+KC-P chip's latency is at most
+// either homogeneous chip's.
+func TestHeteroBeatsHomogeneousOnMixedModel(t *testing.T) {
+	m := models.MobileNetV2()
+	het, _ := chip(m, []dataflow.Dataflow{dataflows.Get("YX-P"), dataflows.Get("KC-P")}, subAccel(128))
+	for _, name := range []string{"YX-P", "KC-P"} {
+		df := dataflows.Get(name)
+		hom, _ := chip(m, []dataflow.Dataflow{df, df}, subAccel(128))
+		if het.Unmapped > 0 || hom.Unmapped > 0 {
+			t.Fatalf("unmapped layers: heterogeneous %d, homogeneous %s %d", het.Unmapped, name, hom.Unmapped)
+		}
+		if het.Runtime > hom.Runtime {
+			t.Errorf("heterogeneous latency %d worse than homogeneous %s %d", het.Runtime, name, hom.Runtime)
+		}
+	}
+}
+
+// TestHeteroLoadsSumToLatency: on MobileNetV2 both sub-accelerators
+// carry load, the loads partition the latency, and the pipelined bound
+// is at most the latency.
+func TestHeteroLoadsSumToLatency(t *testing.T) {
+	m := models.MobileNetV2()
+	het, loads := chip(m, []dataflow.Dataflow{dataflows.Get("YX-P"), dataflows.Get("KC-P")}, subAccel(128))
+	if len(het.Choices) != len(m.Layers) || het.Unmapped != 0 {
+		t.Fatalf("%d choices, %d unmapped; want %d and 0", len(het.Choices), het.Unmapped, len(m.Layers))
+	}
+	var sum int64
+	for i, l := range loads {
+		if l <= 0 {
+			t.Errorf("sub-accelerator %d carries no load", i)
+		}
+		sum += l
+	}
+	if sum != het.Runtime {
+		t.Errorf("per-accelerator loads %d != latency %d", sum, het.Runtime)
+	}
+	if bound := slices.Max(loads); bound > het.Runtime {
+		t.Errorf("pipeline bound %d over latency %d", bound, het.Runtime)
+	}
+}
+
+// TestHomogeneousPipelineEqualsLatencyOnOneStage: a one-candidate chip
+// runs every layer on its one sub-accelerator, so its bound is its
+// latency.
+func TestHomogeneousPipelineEqualsLatencyOnOneStage(t *testing.T) {
+	m := models.Model{Name: "three", Layers: models.MobileNetV2().Layers[:3]}
+	het, loads := chip(m, []dataflow.Dataflow{dataflows.Get("KC-P")}, subAccel(64))
+	if len(loads) != 1 || loads[0] != het.Runtime || het.Runtime <= 0 {
+		t.Errorf("single stage: loads %v, latency %d", loads, het.Runtime)
 	}
 }
 

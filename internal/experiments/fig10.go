@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/dataflows"
 	"repro/internal/hw"
 	"repro/internal/models"
+	"repro/internal/tuner"
 )
 
 // Fig10 reproduces the dataflow trade-off study (Figure 10): runtime and
@@ -27,13 +27,13 @@ func Fig10(w io.Writer, opt Options) error {
 		tw := newTab(w)
 		fmt.Fprintln(tw, "dataflow\truntime\tenergy (mJ)\tearly\tlate\tpoint-wise\tdepth-wise\tFC\ttransposed\tagg-res\tunmapped")
 		for _, df := range dataflows.All() {
-			mc := costOfModel(m, df, cfg)
-			fmt.Fprintf(tw, "%s\t%s\t%.2f", df.Name, fmtEng(float64(mc.runtime)), mJ(mc.energyPJ))
+			t := tuner.Sum(m, tuner.Fixed(df, cfg))
+			fmt.Fprintf(tw, "%s\t%s\t%.2f", df.Name, fmtEng(float64(t.Runtime)), mJ(t.EnergyPJ))
 			for _, cl := range []models.Class{models.EarlyConv, models.LateConv, models.Pointwise,
 				models.Depthwise, models.FullyConn, models.Transposed, models.AggResidual} {
-				fmt.Fprintf(tw, "\t%s", fmtEng(float64(mc.byClass[cl].runtime)))
+				fmt.Fprintf(tw, "\t%s", fmtEng(float64(t.ByClass[cl].Runtime)))
 			}
-			fmt.Fprintf(tw, "\t%d\n", mc.unmapped)
+			fmt.Fprintf(tw, "\t%d\n", t.Unmapped)
 		}
 		if err := tw.Flush(); err != nil {
 			return err
@@ -50,9 +50,9 @@ func Fig10(w io.Writer, opt Options) error {
 		var rt int64
 		var e float64
 		for _, m := range zoo {
-			mc := costOfModel(m, df, cfg)
-			rt += mc.runtime
-			e += mc.energyPJ
+			t := tuner.Sum(m, tuner.Fixed(df, cfg))
+			rt += t.Runtime
+			e += t.EnergyPJ
 		}
 		if i == 0 || rt < bestFixedRT {
 			bestFixedRT = rt
@@ -65,10 +65,8 @@ func Fig10(w io.Writer, opt Options) error {
 	var adRT int64
 	var adE float64
 	for _, m := range zoo {
-		mcR := bestPerLayer(m, cfg, func(r *core.Result) float64 { return float64(r.Runtime) })
-		mcE := bestPerLayer(m, cfg, func(r *core.Result) float64 { return r.EnergyDefault().OnChip() })
-		adRT += mcR.runtime
-		adE += mcE.energyPJ
+		adRT += tuner.Sum(m, tuner.Best(dataflows.All(), cfg, tuner.MinRuntime)).Runtime
+		adE += tuner.Sum(m, tuner.Best(dataflows.All(), cfg, tuner.MinEnergy)).EnergyPJ
 	}
 	fmt.Fprintf(tw, "Adaptive\t%s\t%.2f\n", fmtEng(float64(adRT)), mJ(adE))
 	if err := tw.Flush(); err != nil {

@@ -120,11 +120,11 @@ func newFuser(m models.Model, cfg hw.Config, opt Options) (*fuser, error) {
 		need:    make([]int, n),
 	}
 	for i, li := range m.Layers {
-		df, r, err := chooseMapping(li.Layer, cfg, opt)
+		ch, err := choose(li.Layer, cfg, opt)
 		if err != nil {
 			return nil, fmt.Errorf("layer %s: %w", li.Layer.Name, err)
 		}
-		f.results[i], f.dfs[i] = r, df
+		f.results[i], f.dfs[i] = ch.Result, ch.Dataflow
 	}
 	for i := range f.single {
 		f.single[i] = f.singletonCost(i)

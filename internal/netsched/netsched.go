@@ -103,10 +103,11 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 
 	for i, li := range m.Layers {
 		layer := li.Layer
-		df, r, err := chooseMapping(layer, cfg, opt)
+		ch, err := choose(layer, cfg, opt)
 		if err != nil {
 			return nil, fmt.Errorf("layer %s: %w", layer.Name, err)
 		}
+		df, r := ch.Dataflow, ch.Result
 
 		// L2 pressure: every live tensor — the chain input and pinned
 		// residual sources — shrinks what the layer may use for staging
@@ -211,23 +212,17 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 	return sched, nil
 }
 
-func chooseMapping(layer tensor.Layer, cfg hw.Config, opt Options) (dataflow.Dataflow, *core.Result, error) {
+// choose maps one layer of a schedule: the Dataflow callback's pick
+// where it maps the layer, priced from the shared profile cache so that
+// sweeps re-scheduling a model walk each layer once, and the tuner
+// elsewhere, so a partially annotated network still schedules.
+func choose(l tensor.Layer, cfg hw.Config, opt Options) (tuner.Choice, error) {
 	if opt.Dataflow != nil {
-		if df, ok := opt.Dataflow(layer); ok {
-			// Priced from the shared profile cache, as the tuner's
-			// candidates are: sweeps that re-schedule a model under
-			// other budgets or bandwidths walk each layer once.
-			r, err := core.AnalyzeDataflowCached(df, layer, cfg)
-			return df, r, err
+		if df, ok := opt.Dataflow(l); ok {
+			return tuner.Fixed(df, cfg)(l)
 		}
-		// No mapping for this layer: fall through to the tuner so a
-		// partially annotated network still schedules.
 	}
-	ch, err := tuner.TuneLayer(layer, cfg, tuner.Options{Objective: opt.Objective})
-	if err != nil {
-		return dataflow.Dataflow{}, nil, err
-	}
-	return ch.Dataflow, ch.Result, nil
+	return tuner.Tuned(cfg, tuner.Options{Objective: opt.Objective})(l)
 }
 
 func validateEdges(m models.Model, edges []Edge) error {

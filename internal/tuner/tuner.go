@@ -1,10 +1,11 @@
-// Package tuner implements the dataflow auto-tuner the paper names as
-// future work (Section 7): given a layer and a hardware configuration,
-// it searches across the dataflow styles of Table 3 *and* their tile-size
-// knobs, and returns the mapping that minimizes runtime, energy, or
-// energy-delay product. Combined across layers this subsumes the
-// adaptive-dataflow study of Section 5.1 (which picks among fixed
-// mappings only).
+// Package tuner chooses a mapping for each layer of a model and rolls
+// the model up. Its auto-tuner is the one the paper names as future work
+// (Section 7): given a layer and a hardware configuration, it searches
+// across the dataflow styles of Table 3 *and* their tile-size knobs, and
+// returns the mapping that minimizes runtime, energy, or energy-delay
+// product. The same candidate loop picks among fixed mappings only, the
+// adaptive dataflow of Section 5.1 (Best), and Sum rolls any Chooser up
+// over a model's layers.
 package tuner
 
 import (
@@ -15,6 +16,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dataflows"
 	"repro/internal/hw"
+	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -42,18 +44,19 @@ func (o Objective) String() string {
 	return fmt.Sprintf("Objective(%d)", uint8(o))
 }
 
-// Choice is one tuned mapping.
+// Choice is one chosen mapping.
 type Choice struct {
 	Dataflow dataflow.Dataflow
 	Result   *core.Result
-	Score    float64
+	// Score is the searched objective's value; Fixed leaves it zero.
+	Score float64
+	// Index is the winner's position in the candidate list searched.
+	Index int
 }
 
 // Options configures the search.
 type Options struct {
 	Objective Objective
-	// MaxCandidates bounds the mappings evaluated per layer (0 = all).
-	MaxCandidates int
 	// MaxL2Bytes, when positive, drops candidates whose L2 staging
 	// requirement exceeds it. The graph-level fusion scheduler uses this
 	// to reserve scratchpad for inter-layer band windows.
@@ -144,141 +147,116 @@ func TuneLayerCtx(ctx context.Context, layer tensor.Layer, cfg hw.Config, opt Op
 		obs.String("layer", layer.Name),
 		obs.String("objective", opt.Objective.String()),
 		obs.Int("pes", cfg.NumPEs))
+	defer span.End()
+	// The profile cache persists across layers and hardware variants:
+	// re-tuning the same layer under a different NoC or vector width
+	// re-prices cached profiles instead of re-running the walk.
+	best, evaluated, err := search(ctx, candidates(layer, cfg.NumPEs), layer, cfg, opt)
+	span.SetAttr(obs.Int("evaluated", evaluated))
+	if err == nil {
+		span.SetAttr(obs.String("best", best.Dataflow.Name))
+	}
+	return best, err
+}
+
+// search is the one candidate loop. It prices each candidate through
+// the shared profile cache, skips those that cannot map the layer or
+// stage more than opt.MaxL2Bytes, and keeps the lowest score; the
+// earliest candidate wins ties. It also returns how many candidates it
+// scored. An error is returned only if none could be scored.
+func search(ctx context.Context, dfs []dataflow.Dataflow, layer tensor.Layer, cfg hw.Config, opt Options) (Choice, int, error) {
 	var best Choice
-	found := false
 	evaluated := 0
-	for _, df := range candidates(layer, cfg.NumPEs) {
-		if opt.MaxCandidates > 0 && evaluated >= opt.MaxCandidates {
-			break
-		}
-		// The profile cache persists across layers and hardware variants:
-		// re-tuning the same layer under a different NoC or vector width
-		// re-prices cached profiles instead of re-running the walk.
+	for i, df := range dfs {
 		r, err := core.AnalyzeDataflowCachedCtx(ctx, df, layer, cfg)
-		if err != nil {
-			continue
-		}
-		if opt.MaxL2Bytes > 0 && r.L2ReqBytes() > opt.MaxL2Bytes {
+		if err != nil || opt.MaxL2Bytes > 0 && r.L2ReqBytes() > opt.MaxL2Bytes {
 			continue
 		}
 		evaluated++
-		s := score(opt.Objective, r)
-		if !found || s < best.Score {
-			best = Choice{Dataflow: df, Result: r, Score: s}
-			found = true
+		if s := score(opt.Objective, r); best.Result == nil || s < best.Score {
+			best = Choice{Dataflow: df, Result: r, Score: s, Index: i}
 		}
 	}
-	span.SetAttr(obs.Int("evaluated", evaluated))
-	if !found {
-		span.End()
-		return Choice{}, fmt.Errorf("tuner: no candidate dataflow maps layer %s", layer.Name)
+	if best.Result == nil {
+		return Choice{}, evaluated, fmt.Errorf("tuner: no candidate dataflow maps layer %s", layer.Name)
 	}
-	span.SetAttr(obs.String("best", best.Dataflow.Name))
-	span.End()
-	return best, nil
+	return best, evaluated, nil
 }
 
-// TuneLayerConfigs tunes one layer under several hardware variants at
-// once, returning the best mapping per configuration (choices[i] pairs
-// with cfgs[i]).
-func TuneLayerConfigs(layer tensor.Layer, cfgs []hw.Config, opt Options) ([]Choice, error) {
-	return TuneLayerConfigsCtx(context.Background(), layer, cfgs, opt)
-}
+// Chooser picks the mapping of one layer. An error means it cannot map
+// the layer.
+type Chooser func(tensor.Layer) (Choice, error)
 
-// TuneLayerConfigsCtx is the hardware-sweep form of TuneLayerCtx: every
-// candidate dataflow is profiled once per PE count and priced across
-// all configurations sharing that PE count in a single PriceBatch walk,
-// so an N-variant sweep costs one cluster walk plus N cheap pricings
-// per candidate instead of N full analyses. An error is returned only
-// if some configuration has no candidate that maps the layer.
-func TuneLayerConfigsCtx(ctx context.Context, layer tensor.Layer, cfgs []hw.Config, opt Options) ([]Choice, error) {
-	ctx, span := obs.Start(ctx, "tuner.layer_configs",
-		obs.String("layer", layer.Name),
-		obs.String("objective", opt.Objective.String()),
-		obs.Int("configs", len(cfgs)))
-	defer span.End()
-
-	choices := make([]Choice, len(cfgs))
-	found := make([]bool, len(cfgs))
-	// Candidates and profiles depend on the PE count only, so configs
-	// sharing one batch together per candidate.
-	byPEs := map[int][]int{}
-	norm := make([]hw.Config, len(cfgs))
-	for i, cfg := range cfgs {
-		norm[i] = cfg.Normalize()
-		byPEs[norm[i].NumPEs] = append(byPEs[norm[i].NumPEs], i)
-	}
-	evaluated := 0
-	for pes, lanes := range byPEs {
-		batch := make([]hw.Config, len(lanes))
-		for j, i := range lanes {
-			batch[j] = norm[i]
-		}
-		priced := 0
-		for _, df := range candidates(layer, pes) {
-			if opt.MaxCandidates > 0 && priced >= opt.MaxCandidates {
-				break
-			}
-			rs, err := core.AnalyzeDataflowCachedBatchCtx(ctx, df, layer, batch)
-			if err != nil && rs == nil { // candidate cannot map the layer
-				continue
-			}
-			priced++
-			evaluated++
-			for j, i := range lanes {
-				if rs[j] == nil {
-					continue
-				}
-				if opt.MaxL2Bytes > 0 && rs[j].L2ReqBytes() > opt.MaxL2Bytes {
-					continue
-				}
-				s := score(opt.Objective, rs[j])
-				if !found[i] || s < choices[i].Score {
-					choices[i] = Choice{Dataflow: df, Result: rs[j], Score: s}
-					found[i] = true
-				}
-			}
-		}
-	}
-	span.SetAttr(obs.Int("evaluated", evaluated))
-	for i, ok := range found {
-		if !ok {
-			return nil, fmt.Errorf("tuner: no candidate dataflow maps layer %s for config %d (%q)",
-				layer.Name, i, cfgs[i].Name)
-		}
-	}
-	return choices, nil
-}
-
-// ModelResult summarizes a tuned model.
-type ModelResult struct {
-	Choices []Choice
-	// Runtime and EnergyPJ are totals across the tuned layers (weighted
-	// by each layer's repetition count where the caller supplies one).
-	Runtime  int64
-	EnergyPJ float64
-}
-
-// TuneLayers tunes a list of (layer, count) pairs and accumulates totals.
-func TuneLayers(layers []tensor.Layer, counts []int, cfg hw.Config, opt Options) (ModelResult, error) {
-	return TuneLayersCtx(context.Background(), layers, counts, cfg, opt)
-}
-
-// TuneLayersCtx is TuneLayers with per-layer tracing under ctx.
-func TuneLayersCtx(ctx context.Context, layers []tensor.Layer, counts []int, cfg hw.Config, opt Options) (ModelResult, error) {
-	var mr ModelResult
-	for i, l := range layers {
-		ch, err := TuneLayerCtx(ctx, l, cfg, opt)
+// Fixed chooses df for every layer, priced through the shared profile
+// cache. A layer df cannot map fails with the engine's own error.
+func Fixed(df dataflow.Dataflow, cfg hw.Config) Chooser {
+	return func(l tensor.Layer) (Choice, error) {
+		r, err := core.AnalyzeDataflowCached(df, l, cfg)
 		if err != nil {
-			return mr, err
+			return Choice{}, err
 		}
-		n := 1
-		if counts != nil {
-			n = counts[i]
-		}
-		mr.Choices = append(mr.Choices, ch)
-		mr.Runtime += ch.Result.Runtime * int64(n)
-		mr.EnergyPJ += ch.Result.EnergyDefault().OnChip() * float64(n)
+		return Choice{Dataflow: df, Result: r}, nil
 	}
-	return mr, nil
+}
+
+// Best chooses, per layer, the candidate of dfs with the lowest obj
+// score: the adaptive dataflow of Section 5.1 when dfs is Table 3's
+// five styles. Candidates that cannot map a layer are skipped, and the
+// earliest candidate wins ties; Choice.Index is the winner's position
+// in dfs.
+func Best(dfs []dataflow.Dataflow, cfg hw.Config, obj Objective) Chooser {
+	return func(l tensor.Layer) (Choice, error) {
+		best, _, err := search(context.Background(), dfs, l, cfg, Options{Objective: obj})
+		return best, err
+	}
+}
+
+// Tuned chooses each layer's mapping with TuneLayer.
+func Tuned(cfg hw.Config, opt Options) Chooser {
+	return func(l tensor.Layer) (Choice, error) { return TuneLayer(l, cfg, opt) }
+}
+
+// Sums is runtime and on-chip energy summed over layer instances.
+type Sums struct {
+	Runtime  int64   // Σ Result.Runtime × Count, cycles
+	EnergyPJ float64 // Σ on-chip energy × Count, pJ
+}
+
+func (s *Sums) add(o Sums) {
+	s.Runtime += o.Runtime
+	s.EnergyPJ += o.EnergyPJ
+}
+
+// Totals is a model rolled up under one chooser.
+type Totals struct {
+	Sums
+	// ByClass splits Sums by each layer's LayerInst.Class.
+	ByClass [models.NumClasses]Sums
+	// Choices holds one choice per layer, in model order. An unmapped
+	// layer's choice has a nil Result.
+	Choices []Choice
+	// Unmapped counts the layers the chooser could not map; they are
+	// left out of every sum.
+	Unmapped int
+}
+
+// Sum chooses a mapping for every layer of m and sums runtime and
+// on-chip energy, each weighted by the layer's instance count.
+func Sum(m models.Model, choose Chooser) Totals {
+	t := Totals{Choices: make([]Choice, len(m.Layers))}
+	for i, li := range m.Layers {
+		ch, err := choose(li.Layer)
+		if err != nil {
+			t.Unmapped++
+			continue
+		}
+		t.Choices[i] = ch
+		s := Sums{
+			Runtime:  ch.Result.Runtime * int64(li.Count),
+			EnergyPJ: ch.Result.EnergyDefault().OnChip() * float64(li.Count),
+		}
+		t.add(s)
+		t.ByClass[li.Class].add(s)
+	}
+	return t
 }

@@ -76,69 +76,47 @@ func edpOf(c Choice) float64 {
 	return c.Result.EnergyDefault().OnChip() * float64(c.Result.Runtime)
 }
 
-func TestMaxCandidates(t *testing.T) {
-	l := layer(32, 32, 14, 3, 1)
-	cfg := hw.Accel256()
-	full, err := TuneLayer(l, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := TuneLayer(l, cfg, Options{MaxCandidates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Score < full.Score {
-		t.Errorf("restricted search beat full search: %g < %g", one.Score, full.Score)
-	}
-}
-
-// TestTuneLayerConfigsMatchesScalar pins the batched hardware sweep to
-// the scalar tuner: for each configuration — including ones with
-// different PE counts, which batch in separate profile groups — the
-// chosen dataflow and score must equal an independent TuneLayer run.
-func TestTuneLayerConfigsMatchesScalar(t *testing.T) {
-	l := layer(32, 32, 14, 3, 1)
-	cfgs := []hw.Config{hw.Accel256(), hw.MAERI64(), hw.Accel256()}
-	cfgs[2].VectorWidth = 4
-	opt := Options{Objective: MinEDP}
-
-	choices, err := TuneLayerConfigs(l, cfgs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(choices) != len(cfgs) {
-		t.Fatalf("got %d choices for %d configs", len(choices), len(cfgs))
-	}
-	for i, cfg := range cfgs {
-		want, err := TuneLayer(l, cfg, opt)
-		if err != nil {
-			t.Fatalf("config %d: scalar tune: %v", i, err)
-		}
-		got := choices[i]
-		if got.Dataflow.Name != want.Dataflow.Name || got.Score != want.Score {
-			t.Errorf("config %d (%s): batched sweep chose %s (score %g), scalar chose %s (score %g)",
-				i, cfg.Name, got.Dataflow.Name, got.Score, want.Dataflow.Name, want.Score)
-		}
-		if got.Result.Runtime != want.Result.Runtime {
-			t.Errorf("config %d: runtime %d vs scalar %d", i, got.Result.Runtime, want.Result.Runtime)
-		}
-	}
-}
-
+// TestTuneLayersTotals rolls tuned layers up with Sum: one choice per
+// layer, each the tuner's own pick, and totals weighted by count.
 func TestTuneLayersTotals(t *testing.T) {
 	vgg := models.VGG16()
-	var ls []tensor.Layer
-	var counts []int
-	for _, li := range vgg.Layers[:3] {
-		ls = append(ls, li.Layer)
-		counts = append(counts, li.Count)
+	m := models.Model{Name: "vgg3", Layers: vgg.Layers[:3]}
+	cfg := hw.Accel256()
+	opt := Options{Objective: MinRuntime}
+	tot := Sum(m, Tuned(cfg, opt))
+	if len(tot.Choices) != 3 || tot.Unmapped != 0 || tot.Runtime <= 0 || tot.EnergyPJ <= 0 {
+		t.Fatalf("totals: %+v", tot)
 	}
-	mr, err := TuneLayers(ls, counts, hw.Accel256(), Options{Objective: MinRuntime})
-	if err != nil {
-		t.Fatal(err)
+	var rt int64
+	for i, li := range m.Layers {
+		want, err := TuneLayer(li.Layer, cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tot.Choices[i]; got.Dataflow.Name != want.Dataflow.Name || got.Score != want.Score {
+			t.Errorf("layer %s: Sum chose %s (%g), TuneLayer %s (%g)",
+				li.Layer.Name, got.Dataflow.Name, got.Score, want.Dataflow.Name, want.Score)
+		}
+		rt += want.Result.Runtime * int64(li.Count)
 	}
-	if len(mr.Choices) != 3 || mr.Runtime <= 0 || mr.EnergyPJ <= 0 {
-		t.Fatalf("totals: %+v", mr)
+	if tot.Runtime != rt {
+		t.Errorf("runtime %d, want %d", tot.Runtime, rt)
+	}
+}
+
+// TestBestEmptyLeavesUnmapped: a chooser with no candidates maps
+// nothing, so every layer is unmapped and every sum stays zero.
+func TestBestEmptyLeavesUnmapped(t *testing.T) {
+	m := models.MobileNetV2()
+	tot := Sum(m, Best(nil, hw.Accel256(), MinRuntime))
+	if tot.Unmapped != len(m.Layers) || tot.Sums != (Sums{}) || tot.ByClass != [models.NumClasses]Sums{} {
+		t.Errorf("empty candidate list: %d of %d layers unmapped, sums %+v, by class %+v",
+			tot.Unmapped, len(m.Layers), tot.Sums, tot.ByClass)
+	}
+	for i, ch := range tot.Choices {
+		if ch.Result != nil {
+			t.Errorf("layer %d mapped to %s", i, ch.Dataflow.Name)
+		}
 	}
 }
 

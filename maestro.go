@@ -33,7 +33,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/energy"
 	"repro/internal/fleet"
-	"repro/internal/hetero"
 	"repro/internal/hw"
 	"repro/internal/mapper"
 	"repro/internal/models"
@@ -328,14 +327,9 @@ const (
 	MinEDP     = tuner.MinEDP
 )
 
-// Tuner entry points.
-var (
-	TuneLayer = tuner.TuneLayer
-	// TuneLayerConfigs tunes one layer under several hardware variants,
-	// pricing each candidate across the variants in one batch walk.
-	TuneLayerConfigs = tuner.TuneLayerConfigs
-	TuneLayers       = tuner.TuneLayers
-)
+// TuneLayer returns the best mapping of the tuner's candidate space for
+// one layer.
+var TuneLayer = tuner.TuneLayer
 
 // Mapping-space search (loop orders x tilings x spatial dims; the class
 // of mapper the paper positions MAESTRO to drive).
@@ -404,21 +398,6 @@ var (
 	ReplayFusedSchedule  = sim.ReplayFused
 	ExploreFusion        = dse.ExploreFusion
 	BestFusion           = dse.BestFusion
-)
-
-// Heterogeneous chips: several sub-accelerators with different dataflow
-// styles, the design point the paper's Section 5.1 motivates.
-type (
-	// SubAccel is one sub-accelerator of a heterogeneous chip.
-	SubAccel = hetero.SubAccel
-	// HeteroPlan is a model's evaluation on a heterogeneous chip.
-	HeteroPlan = hetero.Plan
-)
-
-// Heterogeneous-chip entry points.
-var (
-	EvaluateHetero = hetero.Evaluate
-	Homogeneous    = hetero.Homogeneous
 )
 
 // Machine-readable exports and roofline analysis.
