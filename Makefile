@@ -34,9 +34,8 @@ race:
 # Short fuzz smoke over the parser targets, the DSE summary's
 # merge-of-parts property, the batch-vs-sequential pricing
 # differential, the profile-key spelling invariance, the traceparent
-# header parser and the analyze endpoints' bodies; the same
-# list as CI's fuzz smoke (one -fuzz per invocation, a Go toolchain
-# constraint).
+# header parser and the analyze endpoints' bodies; CI's fuzz smoke runs
+# this target (one -fuzz per invocation, a Go toolchain constraint).
 fuzz:
 	$(GO) test -fuzz=FuzzParseDataflow -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseNetwork -fuzztime=10s -run xxx ./internal/dataflow/

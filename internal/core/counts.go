@@ -74,6 +74,16 @@ func (c *counts) addScaled(o *counts, times int64) {
 	c.finalOut += o.finalOut * times
 }
 
+// copyActivity copies o's additive tables and staging requirements —
+// every field but the peak rates, which depend on a lane's delays.
+func (c *counts) copyActivity(o *counts) {
+	copy(c.bufRead, o.bufRead)
+	copy(c.bufWrite, o.bufWrite)
+	copy(c.bufReq, o.bufReq)
+	copy(c.noc, o.noc)
+	c.macs, c.finalOut = o.macs, o.finalOut
+}
+
 // weightDensity returns the weight density treating the pooling
 // convention (density 0 = "no weight tensor") as dense compute.
 func weightDensity(l tensor.Layer) float64 {

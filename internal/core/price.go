@@ -118,6 +118,7 @@ type batchScratch struct {
 	lanes []int32     // original cfg index of each lane
 	errs  []error     // per-input-config validation errors
 	nocms []noc.Model // NoC model per (level, lane)
+	rep   []int32     // per lane, the lane that counts its traffic (itself when it counts)
 
 	runtimes []int64  // per-(node, lane) outstanding delay
 	counts   []counts // per-(level-node slot, lane) accumulator
@@ -192,6 +193,22 @@ func (p *LayerProfile) priceBatchInto(sc *batchScratch, cfgs []hw.Config, result
 			sc.nocms[lv*nl+l] = sc.cfgs[l].NoCAt(lv)
 		}
 	}
+	// Bandwidth and latency set delays, never traffic (§4.2's pipe
+	// model), so lanes whose NoCs agree on Multicast and Reduction at
+	// every level count the same activity. Only the first lane of each
+	// such capability class, its representative, accumulates counts;
+	// the others price their own runtime and peak rates and take a copy
+	// of its tables.
+	sc.rep = grown(sc.rep, nl)
+	for l := 0; l < nl; l++ {
+		sc.rep[l] = int32(l)
+		for r := 0; r < l; r++ {
+			if int(sc.rep[r]) == r && sameCaps(sc.nocms, p.nlv, nl, r, l) {
+				sc.rep[l] = int32(r)
+				break
+			}
+		}
+	}
 
 	// The root lanes' tables escape into the returned Results, so they
 	// are carved from fresh per-call backing; every other accumulator
@@ -238,10 +255,26 @@ func (p *LayerProfile) priceBatchInto(sc *batchScratch, cfgs []hw.Config, result
 
 	rootNode := nNodes - 1
 	for l, lane := range sc.lanes {
-		fillResult(&resArr[l], p.spec, sc.cfgs[l], sc.runtimes[rootNode*nl+l], &sc.counts[rootSlot*nl+l])
+		root := &sc.counts[rootSlot*nl+l]
+		if r := int(sc.rep[l]); r != l {
+			root.copyActivity(&sc.counts[rootSlot*nl+r])
+		}
+		fillResult(&resArr[l], p.spec, sc.cfgs[l], sc.runtimes[rootNode*nl+l], root)
 		results[lane] = &resArr[l]
 	}
 	return anyErr
+}
+
+// sameCaps reports whether lanes a and b have NoCs of one capability
+// class: equal Multicast and Reduction at every level.
+func sameCaps(nocms []noc.Model, levels, nl, a, b int) bool {
+	for lv := 0; lv < levels; lv++ {
+		ma, mb := &nocms[lv*nl+a], &nocms[lv*nl+b]
+		if ma.Multicast != mb.Multicast || ma.Reduction != mb.Reduction {
+			return false
+		}
+	}
+	return true
 }
 
 // checkConfig rejects an invalid normalized configuration, and one
@@ -273,7 +306,9 @@ func leafRuntime(psums, eff int64, layer tensor.Layer, cfg hw.Config) int64 {
 // quantity is loaded once per case and priced against all
 // configurations while it is hot. Per-lane arithmetic is fully
 // independent, which is what makes the batch bit-identical to pricing
-// each configuration alone.
+// each configuration alone. A lane that is not its class's
+// representative stops after its runtime and peak rate: its counts
+// would repeat the representative's.
 func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 	level := int(p.nodeLevel[node])
 	slot := int(p.nodeSlot[node])
@@ -281,6 +316,7 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 	rts := sc.runtimes[node*nl : (node+1)*nl]
 	nocms := sc.nocms[level*nl : (level+1)*nl]
 	cnts := sc.counts[slot*nl : (slot+1)*nl]
+	rep := sc.rep[:nl]
 
 	for j := int(p.caseStart[node]); j < int(p.caseStart[node+1]); j++ {
 		occ := p.caseOcc[j]
@@ -329,6 +365,23 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 			rts[l] += occ * outstanding
 
 			c := &cnts[l]
+			if compute > 0 {
+				bw := float64(inTraffic+egTraffic) / float64(compute)
+				if bw > c.peakBW[level] {
+					c.peakBW[level] = bw
+				}
+			}
+			mainPEs := active
+			if edgeChild >= 0 {
+				mainPEs--
+			}
+			if int(rep[l]) != l {
+				if edgeChild >= 0 {
+					p.mergeChildPeak(sc, c, edgeChild, occ, nl, l)
+				}
+				p.mergeChildPeak(sc, c, child, occ*mainPEs, nl, l)
+				continue
+			}
 			for _, k := range tensor.AllKinds() {
 				c.bufRead[level][k] += occ * reads[k]
 				c.bufWrite[level+1][k] += occ * inPerPE[k] * active
@@ -342,18 +395,10 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 			c.bufWrite[level][tensor.Output] += occ * egUnion
 			c.bufRead[level+1][tensor.Output] += occ * egPerPE * active
 			c.noc[level] += occ * (inTraffic + egTraffic)
-			if compute > 0 {
-				bw := float64(inTraffic+egTraffic) / float64(compute)
-				if bw > c.peakBW[level] {
-					c.peakBW[level] = bw
-				}
-			}
 			if final && level == 0 {
 				c.finalOut += occ * egUnion
 			}
-			mainPEs := active
 			if edgeChild >= 0 {
-				mainPEs--
 				p.accumChild(sc, c, edgeChild, occ, nl, l)
 			}
 			p.accumChild(sc, c, child, occ*mainPEs, nl, l)
@@ -366,7 +411,6 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 	flEgUnion := p.flushEgUnion[slot]
 	flActive := p.flushActive[slot]
 	for l := 0; l < nl; l++ {
-		cnts[l].bufReq[level] = p.bufReq[node]
 		nocm := &nocms[l]
 		egWrites, egTraffic := flEgUnion, flEgUnion
 		var rmwReads int64
@@ -376,7 +420,11 @@ func (p *LayerProfile) priceLevelBatch(sc *batchScratch, node, nl int) {
 			rmwReads = flEgPerPE * (flActive - 1)
 		}
 		rts[l] += nocm.Delay(egTraffic) + 2*rmwReads
+		if int(rep[l]) != l {
+			continue
+		}
 		c := &cnts[l]
+		c.bufReq[level] = p.bufReq[node]
 		rmwBuf := level
 		if rmwReads > 0 {
 			rmwBuf = 0
@@ -419,4 +467,19 @@ func (p *LayerProfile) accumChild(sc *batchScratch, c *counts, child int, times 
 		return
 	}
 	c.addScaled(&sc.counts[s*nl+l], times)
+}
+
+// mergeChildPeak is accumChild for a lane that is not its class's
+// representative: of a child's counts it takes only the peak rates, the
+// one table that depends on the lane's delays.
+func (p *LayerProfile) mergeChildPeak(sc *batchScratch, c *counts, child int, times int64, nl, l int) {
+	if times == 0 || int(p.nodeLevel[child]) == p.nlv {
+		return // a leaf drives no link
+	}
+	o := &sc.counts[int(p.nodeSlot[child])*nl+l]
+	for i, bw := range o.peakBW {
+		if bw > c.peakBW[i] {
+			c.peakBW[i] = bw
+		}
+	}
 }

@@ -297,3 +297,85 @@ func TestEnergyLinearityProperty(t *testing.T) {
 		t.Fatalf("only %d zoo pairs analyzed, want 970", checked)
 	}
 }
+
+// TestTrafficIndependentOfNoCDelaysProperty pins the invariant that lets
+// PriceBatch count one capability class's traffic once and the DSE price
+// its bandwidth axis as runtime only: a NoC's Bandwidth and AvgLatency
+// set delays, never traffic (§4.2's pipe model). For every zoo layer
+// under every Table 3 dataflow on Accel256, and for each combination of
+// Multicast and Reduction, configurations that differ only in the
+// per-level bandwidths and latencies price to identical activity counts,
+// and after AtL2 over an L2 grid to identical DRAM traffic and energy.
+func TestTrafficIndependentOfNoCDelaysProperty(t *testing.T) {
+	base := hw.Accel256()
+	delays := []struct {
+		bw0, bw1   float64
+		lat0, lat1 int64
+	}{{32, 32, 2, 2}, {1, 64, 0, 9}, {256, 3, 17, 1}, {4.5, 4.5, 5, 0}}
+	l2Grid := []int64{1, 0, 64 << 10, 1 << 20, 16 << 20} // a spill, the requirement, then headroom
+	checked, runtimesDiffer := 0, 0
+	for _, name := range models.Zoo() {
+		m, _ := models.ByName(name)
+		for _, li := range m.Layers {
+			for _, dfName := range dataflows.Names {
+				spec, err := dataflow.Resolve(dataflows.Get(dfName), li.Layer, base.NumPEs)
+				if err != nil {
+					continue
+				}
+				prof, err := Profile(spec)
+				if err != nil {
+					continue
+				}
+				at := name + "/" + li.Layer.Name + "/" + dfName
+				for _, caps := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+					var ref *Result
+					for _, d := range delays {
+						nocs := make([]noc.Model, 2)
+						for lv, bw := range []float64{d.bw0, d.bw1} {
+							nocs[lv] = noc.Bus(bw)
+							nocs[lv].AvgLatency = []int64{d.lat0, d.lat1}[lv]
+							nocs[lv].Multicast, nocs[lv].Reduction = caps[0], caps[1]
+						}
+						cfg := base
+						cfg.NoCs = nocs
+						r, err := prof.Price(cfg)
+						if err != nil {
+							t.Fatalf("%s %v: Price: %v", at, caps, err)
+						}
+						if ref == nil {
+							ref = r
+							continue
+						}
+						if r.OnChipRuntime != ref.OnChipRuntime {
+							runtimesDiffer++
+						}
+						if !reflect.DeepEqual(r.BufRead, ref.BufRead) || !reflect.DeepEqual(r.BufWrite, ref.BufWrite) ||
+							!reflect.DeepEqual(r.BufReq, ref.BufReq) || !reflect.DeepEqual(r.NoCTraffic, ref.NoCTraffic) ||
+							r.MACs != ref.MACs || r.FinalOutputs != ref.FinalOutputs {
+							t.Fatalf("%s %v: counts moved with NoC delays %+v\nref: %+v\ngot: %+v", at, caps, d, ref, r)
+						}
+						for _, l2 := range l2Grid {
+							want, got := ref.AtL2(l2), r.AtL2(l2)
+							if got.DRAMReads != want.DRAMReads || got.DRAMWrites != want.DRAMWrites ||
+								got.DRAMTensorReads != want.DRAMTensorReads {
+								t.Fatalf("%s %v L2 %d: DRAM traffic moved with NoC delays %+v", at, caps, l2, d)
+							}
+							table := energy.TableFor(want.L1ReqBytes(), want.EffectiveL2, base.NumPEs)
+							if eg, ew := got.Energy(table), want.Energy(table); eg != ew {
+								t.Fatalf("%s %v L2 %d: energy moved with NoC delays %+v: %+v, want %+v",
+									at, caps, l2, d, eg, ew)
+							}
+						}
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 970 {
+		t.Fatalf("only %d zoo pairs priced, want 970", checked)
+	}
+	if runtimesDiffer == 0 {
+		t.Fatal("no runtime moved with the NoC delays: the property is vacuous")
+	}
+}

@@ -78,6 +78,36 @@ func equivConfigs(pes int) []hw.Config {
 	return cfgs
 }
 
+// classConfigs interleaves NoC capability classes — reduction on and
+// off, multicast off, and two-level NoCs that differ only below the top
+// level — with bandwidths and latencies that vary inside each class. A
+// batch over it has lanes that share their class's counts and lanes
+// that do not, in a fixed order.
+func classConfigs(pes int) []hw.Config {
+	bus := func(bw float64, lat int64, multicast, reduction bool) noc.Model {
+		m := noc.Bus(bw)
+		m.AvgLatency, m.Multicast, m.Reduction = lat, multicast, reduction
+		return m
+	}
+	var cfgs []hw.Config
+	for i, bw := range []float64{2, 8, 32} {
+		lat := int64(1 + 3*i)
+		for _, nocs := range [][]noc.Model{
+			{bus(bw, lat, true, true)},
+			{bus(bw, lat, true, false)},
+			{bus(bw, lat, false, true)},
+			{bus(bw, lat, false, false)},
+			{bus(bw, lat, true, true), bus(2*bw, 1, true, false)},
+			{bus(bw, lat, true, true), bus(bw/2, lat, false, true)},
+		} {
+			cfgs = append(cfgs, hw.Config{
+				Name: fmt.Sprintf("caps%d", len(cfgs)), NumPEs: pes, NoCs: nocs,
+			}.Normalize())
+		}
+	}
+	return cfgs
+}
+
 // TestPriceEquivalence asserts Price(Profile(spec), cfg) and
 // Analyze(spec, cfg) reproduce the fused oracle walk field for field
 // over the Table 3 dataflows × model-zoo layers × hardware matrix.
@@ -125,60 +155,98 @@ func TestPriceEquivalence(t *testing.T) {
 
 // TestPriceBatchEquivalence asserts PriceBatch(p, cfgs)[i] is
 // bit-identical to the sequential Price(p, cfgs[i]) over the same
-// dataflow × layer × hardware matrix as TestPriceEquivalence, and pins
-// the two edge shapes of the contract: a single-config batch equals a
-// plain Price, and an empty batch returns an empty non-nil slice with a
-// nil error.
+// dataflow × layer × hardware matrix as TestPriceEquivalence, and over
+// classConfigs' interleaved capability classes, and pins the two edge
+// shapes of the contract: a single-config batch equals a plain Price,
+// and an empty batch returns an empty non-nil slice with a nil error.
 func TestPriceBatchEquivalence(t *testing.T) {
 	const pes = 64
 	layers := equivLayers(t)
-	cfgs := equivConfigs(pes)
 	compared := 0
-	for _, df := range dataflows.All() {
-		for _, layer := range layers {
-			spec, err := dataflow.Resolve(df, layer, pes)
-			if err != nil {
-				continue
-			}
-			prof, err := Profile(spec)
-			if err != nil {
-				t.Fatalf("%s/%s: Profile: %v", df.Name, layer.Name, err)
-			}
-			want := make([]*Result, len(cfgs))
-			for i, cfg := range cfgs {
-				if want[i], err = prof.Price(cfg); err != nil {
-					t.Fatalf("%s/%s/%s: Price: %v", df.Name, layer.Name, cfg.Name, err)
+	for _, cfgs := range [][]hw.Config{equivConfigs(pes), classConfigs(pes)} {
+		for _, df := range dataflows.All() {
+			for _, layer := range layers {
+				spec, err := dataflow.Resolve(df, layer, pes)
+				if err != nil {
+					continue
 				}
-			}
-			got, err := prof.PriceBatch(cfgs)
-			if err != nil {
-				t.Fatalf("%s/%s: PriceBatch: %v", df.Name, layer.Name, err)
-			}
-			if len(got) != len(cfgs) {
-				t.Fatalf("%s/%s: PriceBatch returned %d results for %d configs",
-					df.Name, layer.Name, len(got), len(cfgs))
-			}
-			for i := range cfgs {
-				if !reflect.DeepEqual(want[i], got[i]) {
-					t.Fatalf("%s/%s/%s: batch result differs from sequential Price\nprice: %+v\nbatch: %+v",
-						df.Name, layer.Name, cfgs[i].Name, want[i], got[i])
+				prof, err := Profile(spec)
+				if err != nil {
+					t.Fatalf("%s/%s: Profile: %v", df.Name, layer.Name, err)
 				}
-				compared++
-			}
+				want := make([]*Result, len(cfgs))
+				for i, cfg := range cfgs {
+					if want[i], err = prof.Price(cfg); err != nil {
+						t.Fatalf("%s/%s/%s: Price: %v", df.Name, layer.Name, cfg.Name, err)
+					}
+				}
+				got, err := prof.PriceBatch(cfgs)
+				if err != nil {
+					t.Fatalf("%s/%s: PriceBatch: %v", df.Name, layer.Name, err)
+				}
+				if len(got) != len(cfgs) {
+					t.Fatalf("%s/%s: PriceBatch returned %d results for %d configs",
+						df.Name, layer.Name, len(got), len(cfgs))
+				}
+				for i := range cfgs {
+					if !reflect.DeepEqual(want[i], got[i]) {
+						t.Fatalf("%s/%s/%s: batch result differs from sequential Price\nprice: %+v\nbatch: %+v",
+							df.Name, layer.Name, cfgs[i].Name, want[i], got[i])
+					}
+					compared++
+				}
 
-			one, err := prof.PriceBatch(cfgs[:1])
-			if err != nil || len(one) != 1 || !reflect.DeepEqual(want[0], one[0]) {
-				t.Fatalf("%s/%s: single-config batch diverged (err=%v)", df.Name, layer.Name, err)
-			}
-			empty, err := prof.PriceBatch(nil)
-			if err != nil || empty == nil || len(empty) != 0 {
-				t.Fatalf("%s/%s: empty batch: got (%v, %v), want (non-nil empty, nil)",
-					df.Name, layer.Name, empty, err)
+				one, err := prof.PriceBatch(cfgs[:1])
+				if err != nil || len(one) != 1 || !reflect.DeepEqual(want[0], one[0]) {
+					t.Fatalf("%s/%s: single-config batch diverged (err=%v)", df.Name, layer.Name, err)
+				}
+				empty, err := prof.PriceBatch(nil)
+				if err != nil || empty == nil || len(empty) != 0 {
+					t.Fatalf("%s/%s: empty batch: got (%v, %v), want (non-nil empty, nil)",
+						df.Name, layer.Name, empty, err)
+				}
 			}
 		}
 	}
 	if compared < 200 {
 		t.Fatalf("batch equivalence matrix too sparse: only %d comparisons ran", compared)
+	}
+}
+
+// TestPriceBatchResultsOwnTables pins the ownership half of the batch
+// contract: lanes that take a copy of their class representative's
+// counts still own every table, so clearing one result's tables leaves
+// each other result as priced.
+func TestPriceBatchResultsOwnTables(t *testing.T) {
+	const pes = 64
+	spec, err := dataflow.Resolve(dataflows.Get("KC-P"), equivLayers(t)[1], pes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := Profile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := classConfigs(pes)
+	rs, err := prof.PriceBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := prof.PriceBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		clear(r.BufRead)
+		clear(r.BufWrite)
+		clear(r.BufReq)
+		clear(r.NoCTraffic)
+		clear(r.PeakBW)
+		for j := i + 1; j < len(rs); j++ {
+			if !reflect.DeepEqual(rs[j], want[j]) {
+				t.Fatalf("clearing result %d (%s) changed result %d (%s)", i, cfgs[i].Name, j, cfgs[j].Name)
+			}
+		}
 	}
 }
 

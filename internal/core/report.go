@@ -60,8 +60,8 @@ type Result struct {
 	Bottleneck string
 
 	// sizes caches the density-scaled tensor footprints (elements).
-	// applyL2 runs once per (bandwidth, L2) grid point in the DSE sweep;
-	// the footprints depend only on the layer, so they are computed once
+	// applyL2 runs once per L2 capacity of each DSE mapping; the
+	// footprints depend only on the layer, so they are computed once
 	// when the result is filled.
 	sizes TensorCounts
 }
@@ -166,7 +166,7 @@ func (r *Result) applyL2(l2 int64) {
 	}
 	r.DRAMTensorReads = reads
 	r.DRAMReads = reads.Sum()
-	dramDelay := int64(float64(r.DRAMReads+r.DRAMWrites)/r.Cfg.OffchipBandwidth + 0.999999)
+	dramDelay := r.DRAMCycles()
 	r.Runtime = r.OnChipRuntime
 	r.Bottleneck = "compute"
 	if dramDelay > r.Runtime {
@@ -175,6 +175,13 @@ func (r *Result) applyL2(l2 int64) {
 	} else if len(r.PeakBW) > 0 && r.PeakBW[0] > r.Cfg.NoCAt(0).Bandwidth {
 		r.Bottleneck = "noc"
 	}
+}
+
+// DRAMCycles returns the cycles the off-chip link takes to move the
+// result's DRAM traffic at the configuration's OffchipBandwidth: the
+// DRAM bound that Runtime is the larger of, with OnChipRuntime.
+func (r *Result) DRAMCycles() int64 {
+	return int64(float64(r.DRAMReads+r.DRAMWrites)/r.Cfg.OffchipBandwidth + 0.999999)
 }
 
 // WithL2 returns a copy of the result re-priced for a different L2

@@ -153,6 +153,9 @@ func (c *exploreCounters) stats(raw int64, start time.Time) Stats {
 // particular order.
 func Explore(sp Space) ([]Point, Stats) {
 	parts, stats := sweep(sp, func(pts *[]Point, p Point) { *pts = append(*pts, p) })
+	if len(parts) == 1 {
+		return parts[0], stats
+	}
 	return slices.Concat(parts...), stats
 }
 
@@ -168,17 +171,47 @@ func Summarize(sp Space) Summary {
 	return s
 }
 
+// sweepPlan is what a sweep computes once and every PE job reads.
+type sweepPlan struct {
+	Space
+	raw            int64 // the full parameter grid, buffer axes included
+	gridPerMapping int64 // buffer-capacity grid points per (PEs, BW, P1, P2)
+	// narrowest is the bandwidth axis minimum: area and power grow with
+	// bandwidth, so a design over budget there is over budget at every
+	// bandwidth.
+	narrowest float64
+	dfs       []dataflow.Dataflow // Template.Build(p1, p2), P1-major
+}
+
+// newSweepPlan sizes the sweep and builds the template's dataflows. An
+// empty axis spans no design, so it leaves nothing to explore (and no
+// bandwidth minimum to bound with).
+func newSweepPlan(sp Space) *sweepPlan {
+	pl := &sweepPlan{Space: sp, gridPerMapping: int64(len(sp.L1Grid)) * int64(len(sp.L2Grid))}
+	if pl.gridPerMapping == 0 {
+		pl.gridPerMapping = 1
+	}
+	pl.raw = int64(len(sp.PEs)) * int64(len(sp.BWs)) *
+		int64(len(sp.Template.P1)) * int64(len(sp.Template.P2)) * pl.gridPerMapping
+	if pl.raw == 0 {
+		return pl
+	}
+	pl.narrowest = slices.Min(sp.BWs)
+	for _, p1 := range sp.Template.P1 {
+		for _, p2 := range sp.Template.P2 {
+			pl.dfs = append(pl.dfs, sp.Template.Build(p1, p2))
+		}
+	}
+	return pl
+}
+
 // sweep is the one walk behind Explore and Summarize: workers take PE
 // counts off a job channel and fold each valid point into their own
 // part with add. It returns one part per worker and the run's Stats.
 func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 	start := time.Now()
-	gridPerMapping := int64(len(sp.L1Grid)) * int64(len(sp.L2Grid))
-	if gridPerMapping == 0 {
-		gridPerMapping = 1
-	}
-	raw := int64(len(sp.PEs)) * int64(len(sp.BWs)) *
-		int64(len(sp.Template.P1)) * int64(len(sp.Template.P2)) * gridPerMapping
+	pl := newSweepPlan(sp)
+	raw := pl.raw
 
 	ctx := sp.Ctx
 	if ctx == nil {
@@ -227,8 +260,9 @@ func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 			defer wg.Done()
 			var part T
 			emit := func(p Point) { add(&part, p) }
+			var cands []l2Cand
 			for pes := range jobs {
-				explorePEs(ctx, sp, pes, gridPerMapping, emit, &c)
+				cands = pl.explorePEs(ctx, pes, cands, emit, &c)
 			}
 			parts[w] = part
 		}()
@@ -252,27 +286,35 @@ func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 	return parts, stats
 }
 
+// l2Cand is one shared-scratchpad capacity of a mapping, priced once
+// for the whole bandwidth axis: the NoC sets delays, never traffic, so
+// the DRAM traffic, its delay and the dynamic energy at a capacity are
+// the same at every bandwidth point.
+type l2Cand struct {
+	bytes int64
+	dram  int64   // DRAM transfer cycles (core.Result.DRAMCycles)
+	dynPJ float64 // dynamic energy, DRAM included
+}
+
 // explorePEs evaluates the sub-space of one PE count, handing each
-// valid point to emit.
-func explorePEs(ctx context.Context, sp Space, pes int, gridPerMapping int64, emit func(Point), st *exploreCounters) {
-	innerRaw := int64(len(sp.BWs)) * int64(len(sp.Template.P1)) *
-		int64(len(sp.Template.P2)) * gridPerMapping
+// valid point to emit. cands is the caller's buffer for the L2
+// candidates of a mapping; explorePEs returns it, grown, for reuse.
+func (pl *sweepPlan) explorePEs(ctx context.Context, pes int, cands []l2Cand, emit func(Point), st *exploreCounters) []l2Cand {
+	perMapping := int64(len(pl.BWs)) * pl.gridPerMapping
 	// Skip-invalid bound: even with the smallest buffers and narrowest
-	// NoC, this PE count may already blow the budget. Area and power grow
-	// with bandwidth, so the narrowest NoC is the axis minimum.
-	narrowest := slices.Min(sp.BWs)
-	minArea := sp.Cost.Area(pes, 0, 0, narrowest)
-	minPower := sp.Cost.Power(pes, 0, 0, narrowest)
-	if minArea > sp.AreaBudgetMM2 || minPower > sp.PowerBudgetMW {
-		st.explored.Add(innerRaw)
-		return
+	// NoC, this PE count may already blow the budget.
+	minArea := pl.Cost.Area(pes, 0, 0, pl.narrowest)
+	minPower := pl.Cost.Power(pes, 0, 0, pl.narrowest)
+	if minArea > pl.AreaBudgetMM2 || minPower > pl.PowerBudgetMW {
+		st.explored.Add(int64(len(pl.dfs)) * perMapping)
+		return cands
 	}
 	// The bandwidth-axis configurations depend only on (pes, bw), so
 	// build them once per PE job and batch-price them against every
 	// mapping's profile below. One backing slice serves all NoC models.
-	nocs := make([]noc.Model, len(sp.BWs))
-	cfgs := make([]hw.Config, len(sp.BWs))
-	for i, bw := range sp.BWs {
+	nocs := make([]noc.Model, len(pl.BWs))
+	cfgs := make([]hw.Config, len(pl.BWs))
+	for i, bw := range pl.BWs {
 		m := noc.Bus(bw)
 		m.Reduction = true
 		nocs[i] = m
@@ -281,84 +323,78 @@ func explorePEs(ctx context.Context, sp Space, pes int, gridPerMapping int64, em
 			NoCs: nocs[i : i+1 : i+1],
 		}.Normalize()
 	}
-	var tables []energy.Table
-	for _, p1 := range sp.Template.P1 {
-		for _, p2 := range sp.Template.P2 {
-			df := sp.Template.Build(p1, p2)
-			mctx, mspan := obs.Start(ctx, "dse.mapping",
-				obs.Int("pes", pes), obs.Int("p1", p1), obs.Int("p2", p2))
-			// Profile once per (pes, p1, p2): the cluster walk is
-			// hardware-independent, so the whole bandwidth axis below
-			// re-prices the same recorded DAG — in one batch walk.
-			prof, cached, err := sp.profileMapping(mctx, df, pes)
-			if err != nil {
-				st.explored.Add(int64(len(sp.BWs)) * gridPerMapping)
-				mspan.SetAttr(obs.String("error", err.Error()))
-				mspan.End()
+	p2s := pl.Template.P2
+	for i, df := range pl.dfs {
+		p1, p2 := pl.Template.P1[i/len(p2s)], p2s[i%len(p2s)]
+		mctx, mspan := obs.Start(ctx, "dse.mapping",
+			obs.Int("pes", pes), obs.Int("p1", p1), obs.Int("p2", p2))
+		st.explored.Add(perMapping)
+		// Profile once per (pes, p1, p2): the cluster walk is
+		// hardware-independent, so the whole bandwidth axis below
+		// re-prices the same recorded DAG — in one batch walk.
+		prof, cached, err := pl.profileMapping(mctx, df, pes)
+		if err != nil {
+			mspan.SetAttr(obs.String("error", err.Error()))
+			mspan.End()
+			continue
+		}
+		if !cached {
+			st.invoked.Add(1)
+		}
+		st.priced.Add(int64(len(pl.BWs)))
+		rs, _ := prof.PriceBatchCtx(mctx, cfgs)
+		var l1 int64
+		cands = cands[:0]
+		for _, r := range rs {
+			if r != nil {
+				// The lanes differ only in bandwidth, so any priced
+				// one carries the mapping's buffer requirements and
+				// traffic.
+				l1 = r.L1ReqBytes()
+				cands = pl.l2Candidates(cands, r, pes, l1)
+				break
+			}
+		}
+		var valid int64
+		for j, bw := range pl.BWs {
+			r := rs[j]
+			if r == nil {
 				continue
 			}
-			if !cached {
-				st.invoked.Add(1)
-			}
-			st.explored.Add(int64(len(sp.BWs)) * gridPerMapping)
-			st.priced.Add(int64(len(sp.BWs)))
-			rs, _ := prof.PriceBatchCtx(mctx, cfgs)
-			var l1 int64
-			var cands []int64
-			for i, bw := range sp.BWs {
-				r := rs[i]
-				if r == nil {
+			for _, c := range cands {
+				area := pl.Cost.Area(pes, l1*int64(pes), c.bytes, bw)
+				power := pl.Cost.Power(pes, l1*int64(pes), c.bytes, bw)
+				if area > pl.AreaBudgetMM2 || power > pl.PowerBudgetMW {
 					continue
 				}
-				if cands == nil {
-					// The scratchpad requirements come from the recorded
-					// profile, not the NoC, so the L2 candidate set and
-					// the energy tables are identical across the whole
-					// bandwidth axis: compute them once per mapping.
-					l1 = r.L1ReqBytes()
-					cands = sp.l2Candidates(r.L2ReqBytes())
-					tables = tables[:0]
-					for _, l2 := range cands {
-						tables = append(tables, energy.TableFor(l1, l2, pes))
-					}
+				runtime := max(r.OnChipRuntime, c.dram)
+				pt := Point{
+					NumPEs: pes, BW: bw, P1: p1, P2: p2,
+					L1Bytes: l1, L2Bytes: c.bytes,
+					AreaMM2: area, PowerMW: power,
+					Runtime:  runtime,
+					EnergyPJ: c.dynPJ + pl.Cost.StaticEnergyPJ(area, runtime),
 				}
-				// The L2 grid is a real axis: capacity beyond the staging
-				// requirement retains tensors on-chip, trading SRAM area
-				// and access energy against DRAM traffic. AtL2 re-prices
-				// the same analysis per capacity, so the whole column
-				// costs one engine invocation.
-				for ci, l2 := range cands {
-					r2 := r.AtL2(l2)
-					area := sp.Cost.Area(pes, l1*int64(pes), l2, bw)
-					power := sp.Cost.Power(pes, l1*int64(pes), l2, bw)
-					if area > sp.AreaBudgetMM2 || power > sp.PowerBudgetMW {
-						continue
-					}
-					eb := r2.Energy(tables[ci])
-					pt := Point{
-						NumPEs: pes, BW: bw, P1: p1, P2: p2,
-						L1Bytes: l1, L2Bytes: l2,
-						AreaMM2: area, PowerMW: power,
-						Runtime:    r2.Runtime,
-						Throughput: r2.Throughput(),
-						EnergyPJ:   eb.Total() + sp.Cost.StaticEnergyPJ(area, r2.Runtime),
-					}
-					pt.EDP = pt.EnergyPJ * float64(pt.Runtime)
-					emit(pt)
-					// L1 capacities above the per-PE requirement are
-					// valid by dominance; count them arithmetically.
-					st.valid.Add(1 + sp.l1Headroom(pes, bw, l1, l2))
+				if runtime > 0 {
+					pt.Throughput = float64(r.MACs) / float64(runtime)
 				}
+				pt.EDP = pt.EnergyPJ * float64(pt.Runtime)
+				emit(pt)
+				// L1 capacities above the per-PE requirement are
+				// valid by dominance; count them arithmetically.
+				valid += 1 + pl.l1Headroom(pes, bw, l1, c.bytes)
 			}
-			mspan.End()
 		}
+		st.valid.Add(valid)
+		mspan.End()
 	}
+	return cands
 }
 
 // profileMapping builds (or fetches) the hardware-independent profile of
 // one mapping. The cached flag is true only when the profile came from
 // the shared cache's LRU.
-func (sp Space) profileMapping(ctx context.Context, df dataflow.Dataflow, pes int) (*core.LayerProfile, bool, error) {
+func (sp *Space) profileMapping(ctx context.Context, df dataflow.Dataflow, pes int) (*core.LayerProfile, bool, error) {
 	if sp.Profiles != nil {
 		return sp.Profiles.ProfileDataflowCtx(ctx, df, sp.Layer, pes)
 	}
@@ -370,22 +406,34 @@ func (sp Space) profileMapping(ctx context.Context, df dataflow.Dataflow, pes in
 	return prof, false, err
 }
 
-// l2Candidates returns the shared-scratchpad capacities to evaluate for
-// a mapping whose staging requirement is req: the requirement itself plus
-// every grid capacity above it.
-func (sp Space) l2Candidates(req int64) []int64 {
-	cands := []int64{req}
-	for _, g := range sp.L2Grid {
+// l2Candidates appends to dst the shared-scratchpad capacities to
+// evaluate for the mapping r prices — its staging requirement and every
+// grid capacity above it — each with its DRAM delay and dynamic energy.
+// The L2 grid is a real axis: capacity beyond the requirement retains
+// tensors on-chip, trading SRAM area and access energy against DRAM
+// traffic.
+func (pl *sweepPlan) l2Candidates(dst []l2Cand, r *core.Result, pes int, l1 int64) []l2Cand {
+	req := r.L2ReqBytes()
+	add := func(l2 int64) {
+		at := r.AtL2(l2)
+		dst = append(dst, l2Cand{
+			bytes: l2,
+			dram:  at.DRAMCycles(),
+			dynPJ: at.Energy(energy.TableFor(l1, l2, pes)).Total(),
+		})
+	}
+	add(req)
+	for _, g := range pl.L2Grid {
 		if g > req {
-			cands = append(cands, g)
+			add(g)
 		}
 	}
-	return cands
+	return dst
 }
 
 // l1Headroom counts grid L1 capacities at or above the per-PE requirement
 // that still fit the budget.
-func (sp Space) l1Headroom(pes int, bw float64, l1, l2 int64) int64 {
+func (sp *Space) l1Headroom(pes int, bw float64, l1, l2 int64) int64 {
 	var n int64
 	for _, g1 := range sp.L1Grid {
 		if g1 < l1 {

@@ -122,6 +122,31 @@ func TestSkipInvalidPruning(t *testing.T) {
 	}
 }
 
+// TestEmptyAxisExploresNothing: a space with an empty axis spans no
+// design. Explore and Summarize return no point and zero counts instead
+// of failing on the empty bandwidth axis's minimum.
+func TestEmptyAxisExploresNothing(t *testing.T) {
+	empty := map[string]func(*Space){
+		"BWs": func(sp *Space) { sp.BWs = nil },
+		"PEs": func(sp *Space) { sp.PEs = nil },
+		"P1":  func(sp *Space) { sp.Template.P1 = []int{} },
+	}
+	for axis, clear := range empty {
+		sp := smallSpace()
+		clear(&sp)
+		pts, stats := Explore(sp)
+		stats.Elapsed = 0
+		if len(pts) != 0 || stats != (Stats{}) {
+			t.Errorf("empty %s: Explore gave %d points and %+v, want none and zero Stats", axis, len(pts), stats)
+		}
+		sum := Summarize(sp)
+		sum.Stats.Elapsed = 0
+		if sum.Stats != (Stats{}) || len(sum.Front) != 0 {
+			t.Errorf("empty %s: Summarize gave %+v, want an empty summary", axis, sum)
+		}
+	}
+}
+
 // TestBandwidthAxisAnyOrder: the skip-invalid bound must use the
 // narrowest NoC on the axis, not its first entry. At 256 PEs a 128
 // elem/cycle bus alone exceeds the 450 mW budget while a 4 elem/cycle

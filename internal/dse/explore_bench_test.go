@@ -1,12 +1,15 @@
 package dse
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/dataflows"
 	"repro/internal/energy"
 	"repro/internal/hw"
+	"repro/internal/models"
 	"repro/internal/noc"
 )
 
@@ -67,8 +70,8 @@ func TestExploreSharedProfileCache(t *testing.T) {
 func naiveExplorePEs(sp Space, pes int, gridPerMapping int64, out *[]Point, st *Stats) {
 	innerRaw := int64(len(sp.BWs)) * int64(len(sp.Template.P1)) *
 		int64(len(sp.Template.P2)) * gridPerMapping
-	minArea := sp.Cost.Area(pes, 0, 0, sp.BWs[0])
-	minPower := sp.Cost.Power(pes, 0, 0, sp.BWs[0])
+	minArea := sp.Cost.Area(pes, 0, 0, slices.Min(sp.BWs))
+	minPower := sp.Cost.Power(pes, 0, 0, slices.Min(sp.BWs))
 	if minArea > sp.AreaBudgetMM2 || minPower > sp.PowerBudgetMW {
 		st.Explored += innerRaw
 		return
@@ -92,7 +95,13 @@ func naiveExplorePEs(sp Space, pes int, gridPerMapping int64, out *[]Point, st *
 					continue
 				}
 				l1 := r.L1ReqBytes()
-				for _, l2 := range sp.l2Candidates(r.L2ReqBytes()) {
+				cands := []int64{r.L2ReqBytes()}
+				for _, g := range sp.L2Grid {
+					if g > cands[0] {
+						cands = append(cands, g)
+					}
+				}
+				for _, l2 := range cands {
 					r2 := r.WithL2(l2)
 					area := sp.Cost.Area(pes, l1*int64(pes), l2, bw)
 					power := sp.Cost.Power(pes, l1*int64(pes), l2, bw)
@@ -127,26 +136,78 @@ func benchSpace() Space {
 	return sp
 }
 
+// localSpaces are the sweeps of the e2ebench `local` workload, on one
+// worker: KC-P, YR-P and YX-P with the /v1/dse knob and grid defaults,
+// on zoo conv layers of different shapes, over PEs {64, 128, 256, 512}
+// and a six-point bandwidth axis.
+func localSpaces(t *testing.T) []Space {
+	t.Helper()
+	var out []Space
+	for _, at := range []struct{ model, layer string }{
+		{"VGG16", "CONV1"}, {"AlexNet", "CONV2"}, {"ResNet50", "CONV3_3x3"}, {"MobileNetV2", "B3_exp"},
+	} {
+		m, ok := models.ByName(at.model)
+		if !ok {
+			t.Fatalf("zoo model %s not found", at.model)
+		}
+		li, ok := m.Find(at.layer)
+		if !ok {
+			t.Fatalf("layer %s not found in %s", at.layer, at.model)
+		}
+		for _, tmpl := range []Template{
+			{Name: "KC-P", Build: dataflows.KCPSized, P1: []int{16, 64, 256}, P2: []int{8, 32}},
+			{Name: "YR-P", Build: dataflows.YRPSized, P1: []int{16, 64, 256}, P2: []int{8, 32}},
+			{Name: "YX-P", Build: func(p1, _ int) dataflow.Dataflow { return dataflows.YXPSized(p1) },
+				P1: []int{16, 64, 256}, P2: []int{1}},
+		} {
+			out = append(out, Space{
+				Layer:         li.Layer,
+				Template:      tmpl,
+				PEs:           []int{64, 128, 256, 512},
+				BWs:           []float64{4, 8, 16, 32, 64, 128},
+				L1Grid:        DefaultGrid(64, 1<<16, 2),
+				L2Grid:        DefaultGrid(1<<12, 1<<22, 2),
+				AreaBudgetMM2: 16,
+				PowerBudgetMW: 450,
+				Cost:          hw.Default28nm(),
+				Workers:       1,
+			})
+		}
+	}
+	return out
+}
+
 // TestNaiveExploreAgrees pins the baseline to the optimized path: same
-// points, same explored count, so the benchmark compares equal work.
+// points in the same order, same explored, priced and valid counts, so
+// the benchmark compares equal work. It covers the benchmark's space
+// and the local sweeps, where every mapping prices its L2 candidates
+// once for the whole bandwidth axis.
 func TestNaiveExploreAgrees(t *testing.T) {
-	sp := benchSpace()
-	gridPerMapping := int64(len(sp.L1Grid)) * int64(len(sp.L2Grid))
-	var naivePts []Point
-	var naiveStats Stats
-	for _, pes := range sp.PEs {
-		naiveExplorePEs(sp, pes, gridPerMapping, &naivePts, &naiveStats)
-	}
-	pts, stats := Explore(sp)
-	if len(pts) != len(naivePts) {
-		t.Fatalf("point count: optimized %d, naive %d", len(pts), len(naivePts))
-	}
-	if stats.Explored != naiveStats.Explored || stats.Valid != naiveStats.Valid {
-		t.Fatalf("stats diverge: optimized %+v, naive %+v", stats, naiveStats)
-	}
-	for i := range pts {
-		if pts[i] != naivePts[i] {
-			t.Fatalf("point %d diverges:\noptimized %+v\nnaive     %+v", i, pts[i], naivePts[i])
+	for _, sp := range append([]Space{benchSpace()}, localSpaces(t)...) {
+		at := sp.Template.Name + "/" + sp.Layer.Name
+		gridPerMapping := int64(len(sp.L1Grid)) * int64(len(sp.L2Grid))
+		var naivePts []Point
+		var naiveStats Stats
+		for _, pes := range sp.PEs {
+			naiveExplorePEs(sp, pes, gridPerMapping, &naivePts, &naiveStats)
+		}
+		pts, stats := Explore(sp)
+		if len(pts) == 0 {
+			t.Fatalf("%s: no valid design", at)
+		}
+		if len(pts) != len(naivePts) {
+			t.Fatalf("%s: point count: optimized %d, naive %d", at, len(pts), len(naivePts))
+		}
+		// The naive loop runs one Analyze per bandwidth point, which is
+		// what the optimized path counts as priced.
+		if stats.Explored != naiveStats.Explored || stats.Valid != naiveStats.Valid ||
+			stats.Priced != naiveStats.Invoked {
+			t.Fatalf("%s: stats diverge: optimized %+v, naive %+v", at, stats, naiveStats)
+		}
+		for i := range pts {
+			if pts[i] != naivePts[i] {
+				t.Fatalf("%s: point %d diverges:\noptimized %+v\nnaive     %+v", at, i, pts[i], naivePts[i])
+			}
 		}
 	}
 }
