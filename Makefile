@@ -60,10 +60,11 @@ bench:
 # profile-key microbenchmarks; a fixed-dataflow fusion schedule on a
 # warm profile cache; and the fusion sweeps of a fleet chunk and a
 # /v1/fusion request (BenchmarkExploreFusion, which the BenchmarkExplore
-# pattern matches by prefix). The measured numbers are recorded in
-# BENCH_dse.json.
+# pattern matches by prefix); and one layer's mapping search, templates
+# alone and with a budget-200 hill climb. The measured numbers are
+# recorded in BENCH_dse.json.
 bench-dse:
-	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/
+	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch|BenchmarkProfileKey|BenchmarkRunFused|BenchmarkTuneLayer' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/ ./internal/netsched/ ./internal/tuner/
 
 # Served requests through Handler(): a cached and an uncached
 # /v1/analyze for two zoo layers and a fleet-shaped /v1/dse shard; the

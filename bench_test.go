@@ -154,22 +154,6 @@ func BenchmarkTuner(b *testing.B) {
 	}
 }
 
-// BenchmarkMapperHillClimb measures the free-form mapping search.
-func BenchmarkMapperHillClimb(b *testing.B) {
-	layer := maestro.Conv2D("bench", 32, 32, 16, 3, 1)
-	cfg := maestro.Accel256()
-	for i := 0; i < b.N; i++ {
-		_, stats, err := maestro.SearchMappings(layer, cfg, maestro.MapperOptions{
-			Strategy: maestro.MapperHillClimb, Budget: 200, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Evaluated == 0 {
-			b.Fatal("no evaluations")
-		}
-	}
-}
-
 // BenchmarkNetworkSchedule measures whole-network scheduling with L2
 // residency over MobileNetV2.
 func BenchmarkNetworkSchedule(b *testing.B) {

@@ -29,13 +29,11 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/dataflow"
@@ -45,6 +43,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/serve"
 )
 
@@ -67,7 +66,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("maestro-dse", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	modelName := fs.String("model", "VGG16", "model: VGG16, AlexNet, ResNet50, ResNeXt50, MobileNetV2, UNet, DCGAN")
+	modelName := fs.String("model", "VGG16", "built-in zoo model: "+strings.Join(models.Zoo(), ", "))
 	layerName := fs.String("layer", "CONV2", "layer name within the model")
 	dfName := fs.String("dataflow", "KC-P", "dataflow style: KC-P, YR-P, or YX-P")
 	area := fs.Float64("area", 16, "area budget in mm²")
@@ -87,9 +86,9 @@ func run(args []string, stdout io.Writer) error {
 		return errUsage
 	}
 
-	m, ok := modelByName(*modelName)
+	m, ok := models.ByName(*modelName)
 	if !ok {
-		return fmt.Errorf("unknown model %q", *modelName)
+		return fmt.Errorf("unknown model %q (have %s)", *modelName, strings.Join(models.Zoo(), ", "))
 	}
 	li, ok := m.Find(*layerName)
 	if !ok {
@@ -187,7 +186,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "Pareto frontier: %d of %d evaluated points\n", len(dse.Pareto(pts)), len(pts))
 
 	if *csvPath != "" {
-		if err := dumpCSV(*csvPath, pts); err != nil {
+		if err := writeCSV(*csvPath, pts); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %d designs to %s\n", len(pts), *csvPath)
@@ -295,7 +294,7 @@ func runFleet(a fleetArgs, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "Pareto frontier: %d points\n", len(res.Pareto))
 
 	if a.csvPath != "" {
-		if err := dumpCSV(a.csvPath, res.Pareto); err != nil {
+		if err := writeCSV(a.csvPath, res.Pareto); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %d designs to %s\n", len(res.Pareto), a.csvPath)
@@ -318,15 +317,6 @@ func splitHosts(s string) []string {
 func showPoint(w io.Writer, tag string, p dse.Point) {
 	fmt.Fprintf(w, "%-16s PEs=%-5d BW=%-5.0f L1=%-6dB L2=%-8dB area=%.2fmm² power=%.1fmW  %.1f MAC/cyc  %.3g pJ  EDP %.3g\n",
 		tag, p.NumPEs, p.BW, p.L1Bytes, p.L2Bytes, p.AreaMM2, p.PowerMW, p.Throughput, p.EnergyPJ, p.EDP)
-}
-
-func modelByName(name string) (models.Model, bool) {
-	for _, m := range append(models.EvaluationModels(), models.AlexNet(), models.DCGAN()) {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return models.Model{}, false
 }
 
 func templateByName(name string, quick bool) (dse.Template, bool) {
@@ -353,36 +343,17 @@ func templateByName(name string, quick bool) (dse.Template, bool) {
 	return dse.Template{}, false
 }
 
-func dumpCSV(path string, pts []dse.Point) error {
+// writeCSV writes pts to path in Fig. 13's CSV format.
+func writeCSV(path string, pts []dse.Point) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-	if err := w.Write([]string{"pes", "bw", "p1", "p2", "l1_bytes", "l2_bytes",
-		"area_mm2", "power_mw", "runtime_cycles", "throughput_mac_per_cyc", "energy_pj", "edp"}); err != nil {
+	if err := report.WriteDSECSV(f, pts); err != nil {
+		f.Close()
 		return err
 	}
-	for _, p := range pts {
-		rec := []string{
-			strconv.Itoa(p.NumPEs),
-			strconv.FormatFloat(p.BW, 'f', -1, 64),
-			strconv.Itoa(p.P1), strconv.Itoa(p.P2),
-			strconv.FormatInt(p.L1Bytes, 10), strconv.FormatInt(p.L2Bytes, 10),
-			strconv.FormatFloat(p.AreaMM2, 'f', 4, 64),
-			strconv.FormatFloat(p.PowerMW, 'f', 2, 64),
-			strconv.FormatInt(p.Runtime, 10),
-			strconv.FormatFloat(p.Throughput, 'f', 2, 64),
-			strconv.FormatFloat(p.EnergyPJ, 'e', 4, 64),
-			strconv.FormatFloat(p.EDP, 'e', 4, 64),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Close()
 }
 
 // writeFleetTrace assembles the stitched multi-node trace for the

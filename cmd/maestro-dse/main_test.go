@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/report"
 	"repro/internal/serve"
 )
 
@@ -128,4 +132,46 @@ func TestRunFleetCheckpoint(t *testing.T) {
 	if out := buf.String(); !strings.Contains(out, "checkpoint: replayed 0 shards, dispatched") {
 		t.Fatalf("resume with no journal should dispatch everything:\n%s", out)
 	}
+}
+
+// TestRunZooModel: -model resolves through the whole zoo, so a model
+// outside the paper's seven is found and its missing layer reported.
+func TestRunZooModel(t *testing.T) {
+	err := run([]string{"-model", "GoogLeNet", "-layer", "NOPE"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "layer \"NOPE\" not found in GoogLeNet") {
+		t.Fatalf("GoogLeNet -layer NOPE = %v, want layer not found", err)
+	}
+}
+
+// TestRunCSV: -csv writes Fig. 13's CSV format, one row per design.
+func TestRunCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dse.csv")
+	var buf bytes.Buffer
+	if err := run([]string{"-quick", "-dataflow", "YX-P", "-layer", "CONV11", "-csv", path}, &buf); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	rows, err := csv.NewReader(mustOpen(t, path)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := report.WriteDSECSV(&want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rows[0], ",") + "\n"; got != want.String() {
+		t.Errorf("header %q, want report.WriteDSECSV's %q", got, want.String())
+	}
+	if !strings.Contains(buf.String(), fmt.Sprintf("wrote %d designs to %s", len(rows)-1, path)) {
+		t.Errorf("output does not report the %d rows written:\n%s", len(rows)-1, buf.String())
+	}
+}
+
+func mustOpen(t *testing.T, path string) *os.File {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }

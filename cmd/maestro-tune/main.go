@@ -5,6 +5,15 @@
 //	maestro-tune -model MobileNetV2 -pes 256 -o mobilenet_tuned.m
 //	maestro -pes 256 mobilenet_tuned.m
 //
+// -layer tunes one layer of the model, and -dims (with -stride) a
+// custom convolution. A positive -budget follows the template scan with
+// a free-form search of -strategy (exhaustive, random or hillclimb,
+// seeded by -seed) over loop orders, tiles, spatial dims and cluster
+// splits; each layer's comment names the winning mapping:
+//
+//	maestro-tune -model VGG16 -layer CONV5 -budget 2000 -strategy hillclimb
+//	maestro-tune -dims K:64,C:64,Y:58,X:58,R:3,S:3 -budget 500
+//
 // With -trace the whole search is recorded as Chrome trace_event JSON:
 // one tuner.layer span per layer, with the profile walks and pricings
 // of its candidate mappings as children.
@@ -18,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/hw"
@@ -43,9 +53,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("maestro-tune", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	modelName := fs.String("model", "MobileNetV2", "built-in zoo model to tune")
+	layerName := fs.String("layer", "", "tune only this layer of -model")
+	dims := fs.String("dims", "", "tune one custom convolution instead, e.g. K:64,C:64,Y:58,X:58,R:3,S:3")
+	stride := fs.Int("stride", 1, "stride of the -dims layer")
 	pes := fs.Int("pes", 256, "number of PEs")
 	bw := fs.Float64("bw", 32, "NoC GB/s")
 	objective := fs.String("objective", "runtime", "runtime, energy, or edp")
+	budget := fs.Int("budget", 0, "free-form candidates to evaluate after the template scan (0: templates only)")
+	strategy := fs.String("strategy", "hillclimb", "free-form search: exhaustive, random, or hillclimb")
+	seed := fs.Int64("seed", 1, "seed of the random and hillclimb strategies")
 	out := fs.String("o", "", "output network file (default stdout)")
 	hwFile := fs.String("hw", "", "accelerator description file")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the search to this file")
@@ -53,15 +69,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	m, ok := models.ByName(*modelName)
-	if !ok {
-		return fmt.Errorf("unknown model %q (have %s)", *modelName, strings.Join(models.Zoo(), ", "))
+	m, err := pickModel(*modelName, *layerName, *dims, *stride)
+	if err != nil {
+		return err
 	}
 	cfg, err := pickHW(*hwFile, *pes, *bw)
 	if err != nil {
 		return err
 	}
-	opt := tuner.Options{}
+	opt := tuner.Options{Budget: *budget, Seed: *seed}
+	if opt.Strategy, err = parseStrategy(*strategy); err != nil {
+		return err
+	}
 	switch *objective {
 	case "runtime":
 		opt.Objective = tuner.MinRuntime
@@ -83,6 +102,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	w := new(bytes.Buffer)
 	fmt.Fprintf(w, "// %s tuned for %s on %d PEs (objective: %s)\n",
 		m.Name, cfg.Name, cfg.NumPEs, *objective)
+	if opt.Budget > 0 {
+		fmt.Fprintf(w, "// free-form search: %s, budget %d, seed %d\n", opt.Strategy, opt.Budget, opt.Seed)
+	}
 	fmt.Fprintf(w, "Network %s {\n", sanitize(m.Name))
 	var total int64
 	for _, li := range m.Layers {
@@ -159,6 +181,59 @@ func sanitize(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// pickModel returns what to tune: the zoo model, only its -layer, or a
+// one-layer model of the -dims convolution.
+func pickModel(modelName, layerName, dims string, stride int) (models.Model, error) {
+	if dims != "" {
+		if layerName != "" {
+			return models.Model{}, fmt.Errorf("-dims and -layer are exclusive")
+		}
+		l := tensor.Layer{Name: "custom", Op: tensor.Conv2D, StrideY: stride, StrideX: stride}
+		for _, part := range strings.Split(dims, ",") {
+			kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
+			if len(kv) != 2 {
+				return models.Model{}, fmt.Errorf("bad dim %q", part)
+			}
+			d, err := tensor.ParseDim(kv[0])
+			if err != nil {
+				return models.Model{}, err
+			}
+			v, err := strconv.Atoi(kv[1])
+			if err != nil {
+				return models.Model{}, err
+			}
+			l.Sizes = l.Sizes.Set(d, v)
+		}
+		l = l.Normalize()
+		if err := l.Validate(); err != nil {
+			return models.Model{}, err
+		}
+		return models.Model{Name: "custom", Layers: []models.LayerInst{{Layer: l, Count: 1}}}, nil
+	}
+	m, ok := models.ByName(modelName)
+	if !ok {
+		return models.Model{}, fmt.Errorf("unknown model %q (have %s)", modelName, strings.Join(models.Zoo(), ", "))
+	}
+	if layerName == "" {
+		return m, nil
+	}
+	li, ok := m.Find(layerName)
+	if !ok {
+		return models.Model{}, fmt.Errorf("layer %q not in %s", layerName, m.Name)
+	}
+	return models.Model{Name: m.Name, Layers: []models.LayerInst{li}}, nil
+}
+
+// parseStrategy maps a -strategy name to its tuner.Strategy.
+func parseStrategy(name string) (tuner.Strategy, error) {
+	for _, st := range []tuner.Strategy{tuner.Exhaustive, tuner.RandomSample, tuner.HillClimb} {
+		if st.String() == name {
+			return st, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want exhaustive, random, or hillclimb)", name)
 }
 
 func pickHW(hwFile string, pes int, gbps float64) (hw.Config, error) {

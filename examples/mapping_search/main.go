@@ -1,7 +1,8 @@
-// Mapping-space search: beyond the five named dataflow styles, explore
-// free-form mappings — loop orders, tile sizes, spatial dimensions,
-// cluster splits — under a cost-model evaluation budget, and place the
-// winner on the machine's roofline.
+// Mapping-space search: beyond the five named dataflow styles and their
+// tile knobs, the tuner explores free-form mappings — loop orders, tile
+// sizes, spatial dimensions, cluster splits — under a cost-model
+// evaluation budget, starting from the template winner; the example
+// then places the best named mapping on the machine's roofline.
 package main
 
 import (
@@ -18,21 +19,20 @@ func main() {
 	fmt.Printf("searching mappings for %s %v on %s\n\n", layer.Name, layer.Sizes, cfg.Name)
 	for _, strat := range []struct {
 		name string
-		s    interface{ String() string }
-		opt  maestro.MapperOptions
+		opt  maestro.TunerOptions
 	}{
-		{"exhaustive sub-grid", maestro.MapperExhaustive, maestro.MapperOptions{Strategy: maestro.MapperExhaustive, Budget: 600}},
-		{"random sampling", maestro.MapperRandomSample, maestro.MapperOptions{Strategy: maestro.MapperRandomSample, Budget: 600, Seed: 42}},
-		{"hill climbing", maestro.MapperHillClimb, maestro.MapperOptions{Strategy: maestro.MapperHillClimb, Budget: 600, Seed: 42}},
+		{"templates only", maestro.TunerOptions{}},
+		{"exhaustive sub-grid", maestro.TunerOptions{Strategy: maestro.TunerExhaustive, Budget: 600}},
+		{"random sampling", maestro.TunerOptions{Strategy: maestro.TunerRandomSample, Budget: 600, Seed: 42}},
+		{"hill climbing", maestro.TunerOptions{Strategy: maestro.TunerHillClimb, Budget: 600, Seed: 42}},
 	} {
-		best, stats, err := maestro.SearchMappings(layer, cfg, strat.opt)
+		best, err := maestro.TuneLayer(layer, cfg, strat.opt)
 		if err != nil {
 			log.Fatalf("%s: %v", strat.name, err)
 		}
-		fmt.Printf("%-20s %6d evaluated, %5d invalid -> %d cycles (%.1f%% util)\n",
-			strat.name, stats.Evaluated, stats.Invalid,
-			best.Result.Runtime, 100*best.Result.Utilization())
-		fmt.Printf("%-20s best: %s\n", "", best.Candidate)
+		fmt.Printf("%-20s %10d cycles (%.1f%% util)\n",
+			strat.name, best.Result.Runtime, 100*best.Result.Utilization())
+		fmt.Printf("%-20s best: %s\n", "", best.Dataflow.Name)
 	}
 
 	// Compare against the named dataflows and show the roofline placement.

@@ -150,11 +150,21 @@ func NewProfileCache(capacity int) *ProfileCache {
 	return &ProfileCache{lru.New[ProfileKey, *LayerProfile](capacity)}
 }
 
+// ResolveError is a mapping dataflow.Resolve refused before any walk
+// ran. The cached paths return it unwrapped, so a search can tell a
+// candidate that never reached the engine from one the engine rejected
+// with a type assertion; its message and errors.Is chain are the
+// resolver's own.
+type ResolveError struct{ Err error }
+
+func (e *ResolveError) Error() string { return e.Err.Error() }
+func (e *ResolveError) Unwrap() error { return e.Err }
+
 // ProfileDataflow returns the profile for (df, layer, numPEs), resolving
 // and profiling on a miss with at most one walk across concurrent
 // callers. The second return reports whether the profile came from the
 // LRU (callers that joined an in-flight computation report false).
-// Errors (e.g. an unresolvable mapping) are not cached.
+// Errors are not cached; a resolver's is a *ResolveError.
 func (c *ProfileCache) ProfileDataflow(df dataflow.Dataflow, layer tensor.Layer, numPEs int) (*LayerProfile, bool, error) {
 	return c.ProfileDataflowCtx(context.Background(), df, layer, numPEs)
 }
@@ -169,7 +179,7 @@ func (c *ProfileCache) ProfileDataflowCtx(ctx context.Context, df dataflow.Dataf
 		obs.SpanFrom(ctx).Event("profile_cache.miss")
 		spec, err := dataflow.Resolve(df, layer, numPEs)
 		if err != nil {
-			return nil, err
+			return nil, &ResolveError{err}
 		}
 		return ProfileCtx(ctx, spec)
 	}, func(block func()) {

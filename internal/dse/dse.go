@@ -205,9 +205,11 @@ func newSweepPlan(sp Space) *sweepPlan {
 	return pl
 }
 
-// sweep is the one walk behind Explore and Summarize: workers take PE
-// counts off a job channel and fold each valid point into their own
-// part with add. It returns one part per worker and the run's Stats.
+// sweep is the one walk behind Explore and Summarize: workers claim PE
+// counts from one atomic index and fold each valid point into their own
+// part with add. The caller's goroutine is worker 0, so a one-worker
+// sweep starts no goroutine. It returns one part per worker and the
+// run's Stats.
 func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 	start := time.Now()
 	pl := newSweepPlan(sp)
@@ -251,26 +253,26 @@ func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 		}()
 	}
 
-	jobs := make(chan int)
 	parts := make([]T, workers)
+	var next atomic.Int64
+	work := func(w int) {
+		var part T
+		emit := func(p Point) { add(&part, p) }
+		var cands []l2Cand
+		for i := next.Add(1) - 1; i < int64(len(sp.PEs)); i = next.Add(1) - 1 {
+			cands = pl.explorePEs(ctx, sp.PEs[i], cands, emit, &c)
+		}
+		parts[w] = part
+	}
 	var wg sync.WaitGroup
-	for w := range parts {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var part T
-			emit := func(p Point) { add(&part, p) }
-			var cands []l2Cand
-			for pes := range jobs {
-				cands = pl.explorePEs(ctx, pes, cands, emit, &c)
-			}
-			parts[w] = part
+			work(w)
 		}()
 	}
-	for _, pes := range sp.PEs {
-		jobs <- pes
-	}
-	close(jobs)
+	work(0)
 	wg.Wait()
 	close(stopReporter)
 	if reporterDone != nil {

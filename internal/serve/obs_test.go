@@ -381,6 +381,10 @@ func TestEndpointLabels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("POST %s: %v", rt.path, err)
 		}
+		// Read to the end: a body too big to buffer (/metrics) goes out
+		// chunked while the handler runs, and only its last chunk waits
+		// for instrument to record the request.
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // only waiting for the end
 		resp.Body.Close()
 	}
 	for _, path := range []string{"/", "/v1", "/v1/", "/v1/fusion/", "/v1/nope", "/debug"} {

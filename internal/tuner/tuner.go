@@ -3,14 +3,17 @@
 // (Section 7): given a layer and a hardware configuration, it searches
 // across the dataflow styles of Table 3 *and* their tile-size knobs, and
 // returns the mapping that minimizes runtime, energy, or energy-delay
-// product. The same candidate loop picks among fixed mappings only, the
-// adaptive dataflow of Section 5.1 (Best), and Sum rolls any Chooser up
-// over a model's layers.
+// product; with a budget it goes on to search free-form mappings (loop
+// orders, tiles, spatial dims, cluster splits; freeform.go) from the
+// template winner. The same candidate loop picks among fixed mappings
+// only, the adaptive dataflow of Section 5.1 (Best), and Sum rolls any
+// Chooser up over a model's layers.
 package tuner
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -50,7 +53,8 @@ type Choice struct {
 	Result   *core.Result
 	// Score is the searched objective's value; Fixed leaves it zero.
 	Score float64
-	// Index is the winner's position in the candidate list searched.
+	// Index is the winner's position in the candidate list searched:
+	// the templates, then the free-form candidates in the order offered.
 	Index int
 }
 
@@ -61,6 +65,13 @@ type Options struct {
 	// requirement exceeds it. The graph-level fusion scheduler uses this
 	// to reserve scratchpad for inter-layer band windows.
 	MaxL2Bytes int64
+	// Budget, when positive, follows the template scan with a free-form
+	// search of Strategy, seeded by Seed, that evaluates up to Budget
+	// candidates; the template winner stays the pick unless a free-form
+	// candidate scores strictly lower.
+	Budget   int
+	Strategy Strategy
+	Seed     int64
 }
 
 // score evaluates the objective on a result.
@@ -130,9 +141,10 @@ func min(a, b int) int {
 	return b
 }
 
-// TuneLayer returns the best mapping of the candidate space for one
-// layer. Candidates that cannot map the layer are skipped; an error is
-// returned only if none can.
+// TuneLayer returns the best mapping for one layer: the best of the
+// template candidates, then, with a positive opt.Budget, of the
+// free-form search after them. Candidates that cannot map the layer are
+// skipped; an error is returned only if none can.
 func TuneLayer(layer tensor.Layer, cfg hw.Config, opt Options) (Choice, error) {
 	return TuneLayerCtx(context.Background(), layer, cfg, opt)
 }
@@ -148,39 +160,91 @@ func TuneLayerCtx(ctx context.Context, layer tensor.Layer, cfg hw.Config, opt Op
 		obs.String("objective", opt.Objective.String()),
 		obs.Int("pes", cfg.NumPEs))
 	defer span.End()
-	// The profile cache persists across layers and hardware variants:
-	// re-tuning the same layer under a different NoC or vector width
-	// re-prices cached profiles instead of re-running the walk.
-	best, evaluated, err := search(ctx, candidates(layer, cfg.NumPEs), layer, cfg, opt)
-	span.SetAttr(obs.Int("evaluated", evaluated))
+	s := newSearcher(ctx, layer, cfg, opt)
+	s.tune()
+	span.SetAttr(obs.Int("evaluated", s.scored))
+	if opt.Budget > 0 {
+		span.SetAttr(obs.String("strategy", opt.Strategy.String()),
+			obs.Int("free_form_evaluated", s.evaluated), obs.Int("invalid", s.invalid))
+	}
+	best, err := s.result()
 	if err == nil {
 		span.SetAttr(obs.String("best", best.Dataflow.Name))
 	}
 	return best, err
 }
 
-// search is the one candidate loop. It prices each candidate through
-// the shared profile cache, skips those that cannot map the layer or
-// stage more than opt.MaxL2Bytes, and keeps the lowest score; the
-// earliest candidate wins ties. It also returns how many candidates it
-// scored. An error is returned only if none could be scored.
-func search(ctx context.Context, dfs []dataflow.Dataflow, layer tensor.Layer, cfg hw.Config, opt Options) (Choice, int, error) {
-	var best Choice
-	evaluated := 0
-	for i, df := range dfs {
-		r, err := core.AnalyzeDataflowCachedCtx(ctx, df, layer, cfg)
-		if err != nil || opt.MaxL2Bytes > 0 && r.L2ReqBytes() > opt.MaxL2Bytes {
-			continue
-		}
-		evaluated++
-		if s := score(opt.Objective, r); best.Result == nil || s < best.Score {
-			best = Choice{Dataflow: df, Result: r, Score: s, Index: i}
-		}
+// tune runs the template scan and, with a positive opt.Budget, the
+// free-form search. The profile cache persists across layers and
+// hardware variants: re-tuning the same layer under a different NoC or
+// vector width re-prices cached profiles instead of re-running the walk.
+func (s *searcher) tune() {
+	for _, df := range candidates(s.layer, s.cfg.NumPEs) {
+		s.consider(df)
 	}
-	if best.Result == nil {
-		return Choice{}, evaluated, fmt.Errorf("tuner: no candidate dataflow maps layer %s", layer.Name)
+	if s.opt.Budget > 0 {
+		s.freeForm()
 	}
-	return best, evaluated, nil
+}
+
+// searcher is one search: the candidates offered so far and the best of
+// them, plus the free-form phase's state.
+type searcher struct {
+	ctx   context.Context
+	layer tensor.Layer // as given: the profile cache keys on it
+	norm  tensor.Layer // normalized, for the MAC check and the free-form space
+	cfg   hw.Config
+	opt   Options
+
+	best   Choice
+	next   int // the next candidate's position
+	scored int // candidates that passed every filter
+
+	// The free-form phase (freeform.go).
+	rng         *rand.Rand
+	tileChoices [tensor.NumDims][]int
+	evaluated   int // candidates the resolver accepted: what Budget caps
+	invalid     int // candidates the resolver, the engine or a filter rejected
+}
+
+func newSearcher(ctx context.Context, layer tensor.Layer, cfg hw.Config, opt Options) searcher {
+	return searcher{ctx: ctx, layer: layer, norm: layer.Normalize(), cfg: cfg, opt: opt}
+}
+
+// consider is the one pricing and scoring path of every search. It
+// prices df through the shared profile cache and rejects it when the
+// resolver or the engine refuses it, when its MACs differ from the
+// layer's (overlapping output responsibility), or when it stages more
+// than opt.MaxL2Bytes; otherwise it scores df and keeps it if it scores
+// strictly below the best so far, so the earliest candidate wins ties.
+// resolved reports whether the resolver accepted df.
+func (s *searcher) consider(df dataflow.Dataflow) (sc float64, resolved, ok bool) {
+	i := s.next
+	s.next++
+	r, err := core.AnalyzeDataflowCachedCtx(s.ctx, df, s.layer, s.cfg)
+	if err != nil {
+		// The cache returns a ResolveError unwrapped; asserting on it
+		// directly keeps this path allocation-free, unlike errors.As.
+		_, unresolved := err.(*core.ResolveError)
+		return 0, !unresolved, false
+	}
+	if r.MACs != s.norm.MACs() || s.opt.MaxL2Bytes > 0 && r.L2ReqBytes() > s.opt.MaxL2Bytes {
+		return 0, true, false
+	}
+	s.scored++
+	sc = score(s.opt.Objective, r)
+	if s.best.Result == nil || sc < s.best.Score {
+		s.best = Choice{Dataflow: df, Result: r, Score: sc, Index: i}
+	}
+	return sc, true, true
+}
+
+// result is the search's pick, or an error when no candidate passed.
+func (s *searcher) result() (Choice, error) {
+	if s.best.Result == nil {
+		return Choice{}, fmt.Errorf("tuner: no candidate dataflow maps layer %s", s.layer.Name)
+	}
+	return s.best, nil
 }
 
 // Chooser picks the mapping of one layer. An error means it cannot map
@@ -206,8 +270,11 @@ func Fixed(df dataflow.Dataflow, cfg hw.Config) Chooser {
 // in dfs.
 func Best(dfs []dataflow.Dataflow, cfg hw.Config, obj Objective) Chooser {
 	return func(l tensor.Layer) (Choice, error) {
-		best, _, err := search(context.Background(), dfs, l, cfg, Options{Objective: obj})
-		return best, err
+		s := newSearcher(context.Background(), l, cfg, Options{Objective: obj})
+		for _, df := range dfs {
+			s.consider(df)
+		}
+		return s.result()
 	}
 }
 

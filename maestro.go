@@ -34,7 +34,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/hw"
-	"repro/internal/mapper"
 	"repro/internal/models"
 	"repro/internal/netsched"
 	"repro/internal/noc"
@@ -327,33 +326,17 @@ const (
 	MinEDP     = tuner.MinEDP
 )
 
+// Free-form search strategies (TunerOptions.Strategy), run after the
+// template scan when TunerOptions.Budget is positive.
+const (
+	TunerExhaustive   = tuner.Exhaustive
+	TunerRandomSample = tuner.RandomSample
+	TunerHillClimb    = tuner.HillClimb
+)
+
 // TuneLayer returns the best mapping of the tuner's candidate space for
 // one layer.
 var TuneLayer = tuner.TuneLayer
-
-// Mapping-space search (loop orders x tilings x spatial dims; the class
-// of mapper the paper positions MAESTRO to drive).
-type (
-	// MapperCandidate encodes one point of the mapping space.
-	MapperCandidate = mapper.Candidate
-	// MapperOptions configures a mapping search.
-	MapperOptions = mapper.Options
-	// MapperBest is a search's winning mapping.
-	MapperBest = mapper.Best
-	// MapperStats summarizes a search run.
-	MapperStats = mapper.Stats
-)
-
-// Mapper strategies.
-const (
-	MapperExhaustive   = mapper.Exhaustive
-	MapperRandomSample = mapper.RandomSample
-	MapperHillClimb    = mapper.HillClimb
-)
-
-// SearchMappings explores the mapping space of a layer on a
-// configuration.
-var SearchMappings = mapper.Search
 
 // Whole-network scheduling with inter-layer L2 residency and residual
 // pinning (the Table 4 inter-layer effects).
