@@ -38,7 +38,7 @@ const maxLoops = int(tensor.NumDims)
 // combination of adv's arrival classes with the classes of the loops
 // outside it (the loops inside adv reset). All of its state is fixed-size,
 // so a level walk keeps it on its stack and the per-case callbacks
-// allocate nothing (TestWalkAllocsPerNode):
+// allocate nothing (TestWalkAllocsPerWalk):
 //
 //	en := newCaseEnum(a)
 //	for en.next() {

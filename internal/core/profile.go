@@ -167,9 +167,18 @@ type profiler struct {
 	cases []profCase
 	stack []profCase
 
+	// lvs and as hold one resolved level and one reuse analysis per
+	// cluster depth, re-resolved in place for every node of that depth:
+	// a node's cases recurse only into depth+1, and a memo hit touches
+	// no scratch, so a depth's entry stays intact until its node
+	// completes.
+	lvs []dataflow.Level
+	as  []reuse.Analysis
+
 	// Initial backing for nodes, cases and stack, sized for the zoo's
 	// walks (at most 5 nodes and 21 cases under the Table 3 dataflows),
-	// so a fresh profiler costs one allocation besides its memo.
+	// so a fresh profiler costs one allocation besides its memo and its
+	// per-depth scratch.
 	nodeBuf  [8]profNode
 	caseBuf  [32]profCase
 	stackBuf [32]profCase
@@ -203,6 +212,10 @@ func (p *profiler) reset(spec *dataflow.Spec) {
 	p.spec, p.layer, p.nlv = spec, spec.Layer, spec.NumLevels()
 	clear(p.memo)
 	p.nodes, p.cases, p.stack = p.nodes[:0], p.cases[:0], p.stack[:0]
+	if len(p.lvs) < p.nlv {
+		p.lvs = append(p.lvs, make([]dataflow.Level, p.nlv-len(p.lvs))...)
+		p.as = append(p.as, make([]reuse.Analysis, p.nlv-len(p.as))...)
+	}
 }
 
 // seal flattens the transient recording into the LayerProfile's
@@ -358,11 +371,11 @@ func (p *profiler) profileLeaf(dims tensor.Sizes) profNode {
 // the loops outside it (Figure 8's ExtractDataIterationCases) — and
 // records the raw per-PE/union quantities each case's pricing needs.
 func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) {
-	lv, err := p.spec.Level(level, dims)
-	if err != nil {
+	lv, a := &p.lvs[level], &p.as[level]
+	if err := p.spec.LevelInto(lv, level, dims); err != nil {
 		return profNode{}, err
 	}
-	a := reuse.New(lv, p.layer)
+	a.Reset(lv, p.layer)
 	loops := a.Loops
 	nloops := len(loops)
 
@@ -434,10 +447,13 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 				return err
 			}
 		}
-		cs := profCase{
+		// The case is recorded in place: the children are done, so
+		// nothing else pushes onto the stack until it is filled.
+		p.stack = append(p.stack, profCase{
 			occ: occ, active: int64(active), first: adv == -1,
 			child: child, edgeChild: edgeChild,
-		}
+		})
+		cs := &p.stack[len(p.stack)-1]
 
 		// Ingress quantities, with the partial-sum revisit decision for
 		// outputs resolved here (it depends only on the case structure).
@@ -491,7 +507,6 @@ func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) 
 				n.bufReq[k] = max(n.bufReq[k], 2*scaleCount(a.UnionTile(k, ch, active), p.layer.Density[k]))
 			}
 		}
-		p.stack = append(p.stack, cs)
 		return nil
 	}
 

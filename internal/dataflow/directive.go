@@ -185,17 +185,19 @@ func (df Dataflow) String() string {
 // Levels splits the directive list into cluster levels: level 0 holds the
 // directives above the first Cluster directive, and so on. The returned
 // cluster sizes have one entry per Cluster directive (len(levels)-1).
+// Each level is a capped sub-slice of df.Directives, so the levels share
+// the list's backing array and an append to one cannot overwrite the
+// next.
 func (df Dataflow) Levels() (levels [][]Directive, clusterSizes []SizeExpr) {
-	cur := []Directive{}
-	for _, d := range df.Directives {
+	dirs := df.Directives
+	start := 0
+	for i, d := range dirs {
 		if d.IsCluster {
-			levels = append(levels, cur)
+			levels = append(levels, dirs[start:i:i])
 			clusterSizes = append(clusterSizes, d.Size)
-			cur = []Directive{}
-			continue
+			start = i + 1
 		}
-		cur = append(cur, d)
 	}
-	levels = append(levels, cur)
+	levels = append(levels, dirs[start:len(dirs):len(dirs)])
 	return levels, clusterSizes
 }

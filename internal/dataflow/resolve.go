@@ -172,17 +172,34 @@ func (lv *Level) SpatialDims() tensor.DimSet {
 // sizes dims (for level 0, the layer's own sizes; for deeper levels, the
 // tile an outer level assigned to one sub-cluster).
 func (sp *Spec) Level(i int, dims tensor.Sizes) (*Level, error) {
-	if i < 0 || i >= len(sp.levelDirs) {
-		return nil, fmt.Errorf("level %d out of range", i)
+	lv := new(Level)
+	if err := sp.LevelInto(lv, i, dims); err != nil {
+		return nil, err
 	}
-	lv := &Level{
+	return lv, nil
+}
+
+// LevelInto is Level resolving into lv, reusing the backing arrays of
+// its Maps and Spatial, so a walk that resolves many levels of one depth
+// allocates for the first only. It overwrites every field of lv, also
+// on error.
+func (sp *Spec) LevelInto(lv *Level, i int, dims tensor.Sizes) error {
+	if i < 0 || i >= len(sp.levelDirs) {
+		return fmt.Errorf("level %d out of range", i)
+	}
+	maps := lv.Maps[:0]
+	if cap(maps) < int(tensor.NumDims) {
+		// Resolve rejects a dimension mapped twice, so explicit plus
+		// implicit maps fill exactly one slot per dimension.
+		maps = make([]ResolvedMap, 0, tensor.NumDims)
+	}
+	*lv = Level{
 		Index:       i,
 		SubClusters: sp.subClusters[i],
 		Dims:        dims,
-		// Resolve rejects a dimension mapped twice, so explicit plus
-		// implicit maps fill exactly one slot per dimension.
-		Maps:    make([]ResolvedMap, 0, tensor.NumDims),
-		FoldPos: -1,
+		Maps:        maps,
+		Spatial:     lv.Spatial[:0],
+		FoldPos:     -1,
 	}
 	layer := sp.Layer
 
@@ -205,7 +222,7 @@ func (sp *Spec) Level(i int, dims tensor.Sizes) (*Level, error) {
 		}
 		m, err := resolveMap(dir, dims, layer, coMapped)
 		if err != nil {
-			return nil, fmt.Errorf("level %d: %w", i, err)
+			return fmt.Errorf("level %d: %w", i, err)
 		}
 		mentioned = mentioned.Add(m.Dim)
 		lv.Maps = append(lv.Maps, m)
@@ -242,7 +259,7 @@ func (sp *Spec) Level(i int, dims tensor.Sizes) (*Level, error) {
 				lv.FoldPos = idx
 				lv.SpatialChunks = m.Steps
 			} else if m.Steps != lv.SpatialChunks {
-				return nil, invalidf(
+				return invalidf(
 					"level %d: co-mapped spatial dims disagree on chunk count (%s has %d, first has %d)",
 					i, m.Dim, m.Steps, lv.SpatialChunks)
 			}
@@ -255,10 +272,7 @@ func (sp *Spec) Level(i int, dims tensor.Sizes) (*Level, error) {
 	} else {
 		lv.Folds, lv.LastFoldActive = 1, lv.SubClusters
 	}
-	if err := lv.checkCoverage(layer); err != nil {
-		return nil, err
-	}
-	return lv, nil
+	return lv.checkCoverage(layer)
 }
 
 // resolveMap binds one directive to the sub-problem: evaluates symbolic

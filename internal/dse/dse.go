@@ -150,14 +150,38 @@ func (c *exploreCounters) stats(raw int64, start time.Time) Stats {
 }
 
 // Explore sweeps the space and returns every valid design point, in no
-// particular order.
+// particular order. Each worker collects its points in a buffer reused
+// across calls, and the result is one slice allocated at its final
+// size.
 func Explore(sp Space) ([]Point, Stats) {
-	parts, stats := sweep(sp, func(pts *[]Point, p Point) { *pts = append(*pts, p) })
-	if len(parts) == 1 {
-		return parts[0], stats
+	parts, stats := sweep(sp, func(buf **[]Point, p Point) {
+		if *buf == nil {
+			*buf = pointBufs.Get().(*[]Point)
+		}
+		**buf = append(**buf, p)
+	})
+	n := 0
+	for _, buf := range parts {
+		if buf != nil {
+			n += len(*buf)
+		}
 	}
-	return slices.Concat(parts...), stats
+	var pts []Point
+	if n > 0 {
+		pts = make([]Point, 0, n)
+	}
+	for _, buf := range parts {
+		if buf != nil {
+			pts = append(pts, *buf...)
+			*buf = (*buf)[:0]
+			pointBufs.Put(buf)
+		}
+	}
+	return pts, stats
 }
+
+// pointBufs recycles Explore's per-worker point buffers.
+var pointBufs = sync.Pool{New: func() any { return new([]Point) }}
 
 // Summarize sweeps the space and folds the points as they are found,
 // each worker into its own Summary, then merges the workers. It keeps
@@ -181,6 +205,7 @@ type sweepPlan struct {
 	// bandwidth.
 	narrowest float64
 	dfs       []dataflow.Dataflow // Template.Build(p1, p2), P1-major
+	l1Sorted  []int64             // L1Grid in ascending order, duplicates kept
 }
 
 // newSweepPlan sizes the sweep and builds the template's dataflows. An
@@ -197,6 +222,8 @@ func newSweepPlan(sp Space) *sweepPlan {
 		return pl
 	}
 	pl.narrowest = slices.Min(sp.BWs)
+	pl.l1Sorted = slices.Clone(sp.L1Grid)
+	slices.Sort(pl.l1Sorted)
 	for _, p1 := range sp.Template.P1 {
 		for _, p2 := range sp.Template.P2 {
 			pl.dfs = append(pl.dfs, sp.Template.Build(p1, p2))
@@ -258,7 +285,9 @@ func sweep[T any](sp Space, add func(*T, Point)) ([]T, Stats) {
 	work := func(w int) {
 		var part T
 		emit := func(p Point) { add(&part, p) }
-		var cands []l2Cand
+		// A mapping's L2 candidates are its requirement and at most
+		// every grid capacity.
+		cands := make([]l2Cand, 0, len(sp.L2Grid)+1)
 		for i := next.Add(1) - 1; i < int64(len(sp.PEs)); i = next.Add(1) - 1 {
 			cands = pl.explorePEs(ctx, sp.PEs[i], cands, emit, &c)
 		}
@@ -434,25 +463,22 @@ func (pl *sweepPlan) l2Candidates(dst []l2Cand, r *core.Result, pes int, l1 int6
 }
 
 // l1Headroom counts grid L1 capacities at or above the per-PE requirement
-// that still fit the budget.
-func (sp *Space) l1Headroom(pes int, bw float64, l1, l2 int64) int64 {
-	var n int64
-	for _, g1 := range sp.L1Grid {
-		if g1 < l1 {
-			continue
-		}
-		if sp.Cost.Area(pes, g1*int64(pes), l2, bw) > sp.AreaBudgetMM2 {
-			continue
-		}
-		if sp.Cost.Power(pes, g1*int64(pes), l2, bw) > sp.PowerBudgetMW {
-			continue
-		}
-		n++
+// that still fit the budget. Area and power never fall as the L1
+// capacity grows (hw.CostModel), so the fitting capacities of the sorted
+// grid are a prefix of it, and the count is the distance between two
+// binary searches.
+func (pl *sweepPlan) l1Headroom(pes int, bw float64, l1, l2 int64) int64 {
+	g := pl.l1Sorted
+	lo, _ := slices.BinarySearch(g, l1)
+	hi := lo + sort.Search(len(g)-lo, func(i int) bool {
+		l1Total := g[lo+i] * int64(pes)
+		return pl.Cost.Area(pes, l1Total, l2, bw) > pl.AreaBudgetMM2 ||
+			pl.Cost.Power(pes, l1Total, l2, bw) > pl.PowerBudgetMW
+	})
+	if hi == lo {
+		return 0
 	}
-	if n > 0 {
-		n-- // the exact-requirement point itself is already counted
-	}
-	return n
+	return int64(hi-lo) - 1 // the exact-requirement point itself is already counted
 }
 
 // Pareto returns the throughput/energy Pareto frontier: points not

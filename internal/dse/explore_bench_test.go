@@ -1,7 +1,10 @@
 package dse
 
 import (
+	"math"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -119,11 +122,34 @@ func naiveExplorePEs(sp Space, pes int, gridPerMapping int64, out *[]Point, st *
 					}
 					pt.EDP = pt.EnergyPJ * float64(pt.Runtime)
 					*out = append(*out, pt)
-					st.Valid += 1 + sp.l1Headroom(pes, bw, l1, l2)
+					st.Valid += 1 + naiveL1Headroom(sp, pes, bw, l1, l2)
 				}
 			}
 		}
 	}
+}
+
+// naiveL1Headroom is the naive loop's own count of the L1 capacities
+// that dominate the exact requirement: a scan of the whole grid in its
+// given order, pricing area and power at every capacity.
+func naiveL1Headroom(sp Space, pes int, bw float64, l1, l2 int64) int64 {
+	var n int64
+	for _, g1 := range sp.L1Grid {
+		if g1 < l1 {
+			continue
+		}
+		if sp.Cost.Area(pes, g1*int64(pes), l2, bw) > sp.AreaBudgetMM2 {
+			continue
+		}
+		if sp.Cost.Power(pes, g1*int64(pes), l2, bw) > sp.PowerBudgetMW {
+			continue
+		}
+		n++
+	}
+	if n > 0 {
+		n-- // the exact-requirement point itself is already counted
+	}
+	return n
 }
 
 // benchSpace is a single-threaded space with a wide bandwidth axis (16
@@ -140,7 +166,7 @@ func benchSpace() Space {
 // worker: KC-P, YR-P and YX-P with the /v1/dse knob and grid defaults,
 // on zoo conv layers of different shapes, over PEs {64, 128, 256, 512}
 // and a six-point bandwidth axis.
-func localSpaces(t *testing.T) []Space {
+func localSpaces(t testing.TB) []Space {
 	t.Helper()
 	var out []Space
 	for _, at := range []struct{ model, layer string }{
@@ -177,13 +203,40 @@ func localSpaces(t *testing.T) []Space {
 	return out
 }
 
+// headroomSpaces vary the first local sweep's L1 grid and budgets to
+// cover the edges of the L1 headroom count: an unsorted grid with a
+// duplicate capacity that holds the sweep's exact L1 requirements
+// among powers of two, a grid of which no capacity fits the budget
+// (only the exact requirements do), and a budget every capacity fits.
+func headroomSpaces(t testing.TB) (unsorted, noneFits, allFit Space) {
+	t.Helper()
+	base := localSpaces(t)[0]
+	unsorted, noneFits, allFit = base, base, base
+	pts, _ := Explore(base)
+	var reqs []int64
+	for _, p := range pts {
+		reqs = append(reqs, p.L1Bytes)
+	}
+	slices.Sort(reqs)
+	reqs = slices.Compact(reqs)
+	slices.Reverse(reqs)
+	unsorted.L1Grid = append([]int64{4096, 64, 1 << 16}, reqs...)
+	unsorted.L1Grid = append(unsorted.L1Grid, reqs[len(reqs)/2], 1024, 256)
+	noneFits.L1Grid = []int64{1 << 22, 1 << 20, 1 << 21}
+	allFit.AreaBudgetMM2, allFit.PowerBudgetMW = math.Inf(1), math.Inf(1)
+	return unsorted, noneFits, allFit
+}
+
 // TestNaiveExploreAgrees pins the baseline to the optimized path: same
 // points in the same order, same explored, priced and valid counts, so
-// the benchmark compares equal work. It covers the benchmark's space
-// and the local sweeps, where every mapping prices its L2 candidates
-// once for the whole bandwidth axis.
+// the benchmark compares equal work. It covers the benchmark's space,
+// the local sweeps, where every mapping prices its L2 candidates once
+// for the whole bandwidth axis, and the L1 headroom edges.
 func TestNaiveExploreAgrees(t *testing.T) {
-	for _, sp := range append([]Space{benchSpace()}, localSpaces(t)...) {
+	unsorted, noneFits, allFit := headroomSpaces(t)
+	spaces := append([]Space{benchSpace()}, localSpaces(t)...)
+	spaces = append(spaces, unsorted, noneFits, allFit)
+	for _, sp := range spaces {
 		at := sp.Template.Name + "/" + sp.Layer.Name
 		gridPerMapping := int64(len(sp.L1Grid)) * int64(len(sp.L2Grid))
 		var naivePts []Point
@@ -210,6 +263,93 @@ func TestNaiveExploreAgrees(t *testing.T) {
 			}
 		}
 	}
+	// The headroom edges are what they claim: with no grid capacity
+	// fitting, each point counts once; with every one fitting, each
+	// counts the grid capacities at or above its requirement, itself
+	// included.
+	if pts, stats := Explore(noneFits); stats.Valid != int64(len(pts)) {
+		t.Errorf("no L1 capacity fits: Valid %d, want one per point (%d)", stats.Valid, len(pts))
+	}
+	pts, stats := Explore(allFit)
+	var want int64
+	for _, p := range pts {
+		n := int64(0)
+		for _, g := range allFit.L1Grid {
+			if g >= p.L1Bytes {
+				n++
+			}
+		}
+		want += max(n, 1)
+	}
+	if stats.Valid != want {
+		t.Errorf("every L1 capacity fits: Valid %d, want %d", stats.Valid, want)
+	}
+}
+
+// TestExploreAllocsFlatInPoints checks that Explore's allocations do
+// not grow with the points it returns: the points collect in pooled
+// per-worker buffers and are copied once into a slice of the final
+// size. A finer L2 grid nearly doubles the points of a local sweep and
+// must allocate no more objects. Explore draws its profiler, pricing
+// scratch and point buffers from sync.Pools, so the fewest allocations
+// of several runs is the warm count; the race detector drops pooled
+// objects at random, so the count is only checked without it.
+func TestExploreAllocsFlatInPoints(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	base := localSpaces(t)[0]
+	finer := base
+	finer.L2Grid = DefaultGrid(1<<12, 1<<22, math.Sqrt2)
+	fewest := func(sp Space) (allocs float64, points int) {
+		pts, _ := Explore(sp)
+		allocs = math.Inf(1)
+		for range 5 {
+			allocs = min(allocs, testing.AllocsPerRun(1, func() { Explore(sp) }))
+		}
+		return allocs, len(pts)
+	}
+	baseAllocs, basePts := fewest(base)
+	finerAllocs, finerPts := fewest(finer)
+	if 2*finerPts < 3*basePts {
+		t.Fatalf("finer L2 grid returns %d points, base %d: want at least 1.5x", finerPts, basePts)
+	}
+	if finerAllocs > baseAllocs {
+		t.Errorf("%d points allocate %.0f objects, %d points %.0f: allocations grow with the points",
+			finerPts, finerAllocs, basePts, baseAllocs)
+	}
+	t.Logf("%d points: %.0f allocations; %d points: %.0f", basePts, baseAllocs, finerPts, finerAllocs)
+}
+
+// TestExploreConcurrent runs two two-worker Explores of one space at
+// once and checks each against a serial run: the profiler's per-depth
+// scratch and Explore's point buffers are pooled state that concurrent
+// sweeps must not share.
+func TestExploreConcurrent(t *testing.T) {
+	sp := localSpaces(t)[0]
+	want, wantStats := Explore(sp)
+	SortPoints(want)
+	wantStats.Elapsed = 0
+	sp.Workers = 2
+	var wg sync.WaitGroup
+	got := make([][]Point, 2)
+	gotStats := make([]Stats, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], gotStats[i] = Explore(sp)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		SortPoints(got[i])
+		gotStats[i].Elapsed = 0
+		if !reflect.DeepEqual(got[i], want) || gotStats[i] != wantStats {
+			t.Errorf("concurrent Explore %d: %d points %+v, serial %d points %+v",
+				i, len(got[i]), gotStats[i], len(want), wantStats)
+		}
+	}
 }
 
 // BenchmarkExplore measures explored designs/sec on a 16-point bandwidth
@@ -222,6 +362,9 @@ func TestNaiveExploreAgrees(t *testing.T) {
 //     honest cold-start number including the cluster walks.
 //   - AnalyzePerPoint: the pre-refactor loop, one full core.Analyze per
 //     bandwidth point.
+//
+// ColdLocal is the e2ebench `local` dse class: one cold sweep per op,
+// cycling through localSpaces.
 func BenchmarkExplore(b *testing.B) {
 	sp := benchSpace()
 	b.Run("ProfileOnce", func(b *testing.B) {
@@ -240,6 +383,15 @@ func BenchmarkExplore(b *testing.B) {
 		var explored int64
 		for i := 0; i < b.N; i++ {
 			_, stats := Explore(sp)
+			explored += stats.Explored
+		}
+		b.ReportMetric(float64(explored)/b.Elapsed().Seconds(), "designs/sec")
+	})
+	b.Run("ColdLocal", func(b *testing.B) {
+		spaces := localSpaces(b)
+		var explored int64
+		for i := 0; i < b.N; i++ {
+			_, stats := Explore(spaces[i%len(spaces)])
 			explored += stats.Explored
 		}
 		b.ReportMetric(float64(explored)/b.Elapsed().Seconds(), "designs/sec")

@@ -158,6 +158,11 @@ func Accel256() Config {
 // CostModel holds the area (µm²) and power (mW) coefficients of the
 // accelerator building blocks, following the paper's regression forms:
 // MACs and SRAM linear, bus linear in endpoints, arbiter quadratic.
+//
+// Area and power must not fall as SRAM grows: SRAMAreaUm2PerB and
+// SRAMPowerMWPerKB are nonnegative, as in Default28nm. The DSE counts
+// the L1 capacities that fit its budget by binary search, which relies
+// on it.
 type CostModel struct {
 	MACAreaUm2       float64 // one fixed-point MAC unit
 	SRAMAreaUm2PerB  float64 // scratchpad area per byte

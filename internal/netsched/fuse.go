@@ -322,10 +322,10 @@ func (f *fuser) footprint(lo, hi, tileRows int) (retained, outBands int64) {
 // with L2Bytes).
 func (f *fuser) stagingBytes(lo, hi int) (compact, ms int64) {
 	for v := lo; v <= hi; v++ {
-		if r, _ := f.compactMapping(v); r.L2ReqBytes() > compact {
+		if r := f.compactMapping(v).r; r.L2ReqBytes() > compact {
 			compact = r.L2ReqBytes()
 		}
-		if r, _ := f.msMapping(v); r.L2ReqBytes() > ms {
+		if r := f.msMapping(v).r; r.L2ReqBytes() > ms {
 			ms = r.L2ReqBytes()
 		}
 	}
@@ -337,18 +337,16 @@ func (f *fuser) stagingBytes(lo, hi int) (compact, ms int64) {
 // re-tunes and singleton costs are built once, and with more than one
 // cap every interval is priced once into memo.
 type fuser struct {
-	g       *Graph
-	cfg     hw.Config
-	eb      int64
-	opt     Options
-	results []*core.Result
-	dfs     []dataflow.Dataflow
+	g    *Graph
+	cfg  hw.Config
+	eb   int64
+	opt  Options
+	base []mapping
 	// compact caches low-staging re-tunes for fused members; ms the
-	// budget-independent minimal-staging fallbacks.
-	compact   []*core.Result
-	compactDF []dataflow.Dataflow
-	ms        []*core.Result
-	msDF      []dataflow.Dataflow
+	// budget-independent minimal-staging fallbacks. An entry with a nil
+	// result is not built yet.
+	compact []mapping
+	ms      []mapping
 	// single holds every layer's singleton cost.
 	single []groupCost
 	// memo, when set, holds the cost of interval [lo, hi] at
@@ -365,22 +363,34 @@ type fuser struct {
 	scratch groupCost
 }
 
+// mapping is one layer's mapping as a schedule runs it: the priced
+// result, its dataflow, and its on-chip energy, priced once for every
+// cap of the budget.
+type mapping struct {
+	r        *core.Result
+	df       dataflow.Dataflow
+	onChipPJ float64
+}
+
+func newMapping(r *core.Result, df dataflow.Dataflow) mapping {
+	return mapping{r: r, df: df, onChipPJ: r.EnergyDefault().OnChip()}
+}
+
 // compactMapping returns the mapping a layer runs inside a fused group.
 // Tuned schedules re-tune each member with staging capped at a quarter
 // of the L2 budget — the band windows and weights need the rest, and
 // the tuner's unconstrained pick happily stages half the scratchpad.
 // Fixed-dataflow schedules keep their mapping, as does any layer the
 // capped re-tune cannot map.
-func (f *fuser) compactMapping(i int) (*core.Result, dataflow.Dataflow) {
+func (f *fuser) compactMapping(i int) *mapping {
 	if f.opt.Dataflow != nil {
-		return f.results[i], f.dfs[i]
+		return &f.base[i]
 	}
 	if f.compact == nil {
-		f.compact = make([]*core.Result, len(f.results))
-		f.compactDF = make([]dataflow.Dataflow, len(f.results))
+		f.compact = make([]mapping, len(f.base))
 	}
-	if f.compact[i] != nil {
-		return f.compact[i], f.compactDF[i]
+	if f.compact[i].r != nil {
+		return &f.compact[i]
 	}
 	budget := f.opt.L2Bytes / 4
 	if budget < 4<<10 {
@@ -391,11 +401,11 @@ func (f *fuser) compactMapping(i int) (*core.Result, dataflow.Dataflow) {
 		MaxL2Bytes: budget,
 	})
 	if err != nil {
-		f.compact[i], f.compactDF[i] = f.results[i], f.dfs[i]
+		f.compact[i] = f.base[i]
 	} else {
-		f.compact[i], f.compactDF[i] = ch.Result, ch.Dataflow
+		f.compact[i] = newMapping(ch.Result, ch.Dataflow)
 	}
-	return f.compact[i], f.compactDF[i]
+	return &f.compact[i]
 }
 
 // msMapping returns the budget-independent minimal-staging mapping for
@@ -403,16 +413,15 @@ func (f *fuser) compactMapping(i int) (*core.Result, dataflow.Dataflow) {
 // staging cap that admits one. Because it never consults L2Bytes, an
 // interval feasible through it at some budget stays feasible at every
 // larger budget — the keystone of the schedule's L2 monotonicity.
-func (f *fuser) msMapping(i int) (*core.Result, dataflow.Dataflow) {
+func (f *fuser) msMapping(i int) *mapping {
 	if f.opt.Dataflow != nil {
-		return f.results[i], f.dfs[i]
+		return &f.base[i]
 	}
 	if f.ms == nil {
-		f.ms = make([]*core.Result, len(f.results))
-		f.msDF = make([]dataflow.Dataflow, len(f.results))
+		f.ms = make([]mapping, len(f.base))
 	}
-	if f.ms[i] != nil {
-		return f.ms[i], f.msDF[i]
+	if f.ms[i].r != nil {
+		return &f.ms[i]
 	}
 	for limit := int64(4 << 10); ; limit *= 2 {
 		ch, err := tuner.TuneLayer(f.g.Model.Layers[i].Layer, f.cfg, tuner.Options{
@@ -420,15 +429,15 @@ func (f *fuser) msMapping(i int) (*core.Result, dataflow.Dataflow) {
 			MaxL2Bytes: limit,
 		})
 		if err == nil {
-			f.ms[i], f.msDF[i] = ch.Result, ch.Dataflow
+			f.ms[i] = newMapping(ch.Result, ch.Dataflow)
 			break
 		}
 		if limit > 1<<30 {
-			f.ms[i], f.msDF[i] = f.results[i], f.dfs[i]
+			f.ms[i] = f.base[i]
 			break
 		}
 	}
-	return f.ms[i], f.msDF[i]
+	return &f.ms[i]
 }
 
 // singletonCost prices layer i as its own group: the per-layer engine's
@@ -438,7 +447,7 @@ func (f *fuser) msMapping(i int) (*core.Result, dataflow.Dataflow) {
 // singleton's claim is non-increasing in L2Bytes. The L2Bytes=0
 // sentinel keeps the per-layer engine's own totals bit for bit.
 func (f *fuser) singletonCost(i int) groupCost {
-	r := f.results[i]
+	r := f.base[i].r
 	reads, writes := r.DRAMTensorReads, r.DRAMWrites
 	if f.opt.L2Bytes != 0 {
 		at := r.AtL2(f.opt.L2Bytes)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/dataflows"
+	"repro/internal/energy"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -157,6 +158,45 @@ func TestFusedMembersMatchEngine(t *testing.T) {
 		for _, p := range plain.Plans {
 			check("Run "+p.Inst.Layer.Name, p.Dataflow, p.Inst.Layer, p.Result)
 		}
+	}
+}
+
+// TestFusedEnergyFromMembers re-sums every schedule's energy from its
+// groups, in assemble's order: each member's on-chip energy priced from
+// the Result it runs, then the group's DRAM traffic. Members carry their
+// energy priced once per mapping, so a member that ran the compact or
+// minimal-staging re-tune must carry that mapping's energy, not its
+// base mapping's. Tuned schedules re-tune fused members; the two caps
+// share one fuser.
+func TestFusedEnergyFromMembers(t *testing.T) {
+	m := models.GoogLeNet()
+	cfg := edgeCfg()
+	retuned := 0
+	for _, df := range []func(tensor.Layer) (dataflow.Dataflow, bool){fixedKCP, nil} {
+		for _, l2 := range []int64{0, 64 << 10, 256 << 10} {
+			scheds, err := RunFusedCaps(m, cfg, Options{L2Bytes: l2, Dataflow: df}, []int{2, 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range scheds {
+				var want float64
+				for _, g := range s.Groups {
+					for _, mb := range g.Members {
+						want += mb.Result.EnergyDefault().OnChip() * float64(mb.Inst.Count)
+						if df == nil && g.Fused {
+							retuned++
+						}
+					}
+					want += float64((g.DRAMReads+g.DRAMWrites)*int64(g.Count)) * energy.DRAMPJ
+				}
+				if s.EnergyPJ != want {
+					t.Errorf("fixed=%v L2 %d: EnergyPJ %v, re-summed from the members %v", df != nil, l2, s.EnergyPJ, want)
+				}
+			}
+		}
+	}
+	if retuned == 0 {
+		t.Fatal("no fused member under a tuned schedule: the re-tuned energies went unchecked")
 	}
 }
 

@@ -3,8 +3,6 @@ package netsched
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/energy"
 	"repro/internal/hw"
 	"repro/internal/models"
@@ -114,17 +112,16 @@ func newFuser(m models.Model, cfg hw.Config, opt Options) (*fuser, error) {
 	n := len(m.Layers)
 	f := &fuser{
 		g: g, cfg: cfg, eb: elemBytes(cfg), opt: opt,
-		results: make([]*core.Result, n),
-		dfs:     make([]dataflow.Dataflow, n),
-		single:  make([]groupCost, n),
-		need:    make([]int, n),
+		base:   make([]mapping, n),
+		single: make([]groupCost, n),
+		need:   make([]int, n),
 	}
 	for i, li := range m.Layers {
 		ch, err := choose(li.Layer, cfg, opt)
 		if err != nil {
 			return nil, fmt.Errorf("layer %s: %w", li.Layer.Name, err)
 		}
-		f.results[i], f.dfs[i] = ch.Result, ch.Dataflow
+		f.base[i] = newMapping(ch.Result, ch.Dataflow)
 	}
 	for i := range f.single {
 		f.single[i] = f.singletonCost(i)
@@ -153,22 +150,22 @@ func (f *fuser) assemble(s *FusedSchedule, spans []groupSpan) {
 		}
 		for v := sp.lo; v <= sp.hi; v++ {
 			nInst := int64(m.Layers[v].Count)
-			r, df := f.results[v], f.dfs[v]
+			mp := &f.base[v]
 			if c.fused {
 				// Fused members run the mapping the capacity check
 				// admitted: the compact re-tune, or the minimal-staging
 				// fallback when the windows left no room for it.
 				if c.msMembers {
-					r, df = f.msMapping(v)
+					mp = f.msMapping(v)
 				} else {
-					r, df = f.compactMapping(v)
+					mp = f.compactMapping(v)
 				}
 			}
 			gp.Members = append(gp.Members, MemberPlan{
-				Index: v, Inst: m.Layers[v], Dataflow: df, Result: r,
+				Index: v, Inst: m.Layers[v], Dataflow: mp.df, Result: mp.r,
 			})
-			gp.Cycles += r.OnChipRuntime * nInst
-			s.EnergyPJ += r.EnergyDefault().OnChip() * float64(nInst)
+			gp.Cycles += mp.r.OnChipRuntime * nInst
+			s.EnergyPJ += mp.onChipPJ * float64(nInst)
 		}
 		s.TotalCycles += gp.Cycles
 		s.DRAMTraffic += c.cost

@@ -226,10 +226,10 @@ func oracleFootprint(f *fuser, lo, hi, tileRows int) (retained, weights, outBand
 
 func oracleStagingBytes(f *fuser, lo, hi int) (compact, ms int64) {
 	for v := lo; v <= hi; v++ {
-		if r, _ := f.compactMapping(v); r.L2ReqBytes() > compact {
+		if r := f.compactMapping(v).r; r.L2ReqBytes() > compact {
 			compact = r.L2ReqBytes()
 		}
-		if r, _ := f.msMapping(v); r.L2ReqBytes() > ms {
+		if r := f.msMapping(v).r; r.L2ReqBytes() > ms {
 			ms = r.L2ReqBytes()
 		}
 	}

@@ -30,6 +30,7 @@ type Analysis struct {
 	Loops []Loop
 
 	affects [tensor.NumKinds]uint64 // per kind: bitmask over loop indices
+	multi   uint64                  // bitmask over loop indices with more than one step
 	spatial [tensor.NumKinds]bool   // tile varies across sub-clusters
 	// outShiftY/outShiftX: output-tile shift per sub-cluster step along
 	// the output row/column axes (spatial Y/R and X/S offsets cancelling,
@@ -39,13 +40,41 @@ type Analysis struct {
 	// filter window, so partial filter chunks accumulate in place rather
 	// than shifting the outputs (tensor.EffectiveWindow).
 	anchoredY, anchoredX bool
+
+	// Per-level tables the case queries read instead of scanning
+	// Level.Maps or copying Layer: each dimension's map, the spatially
+	// mapped dims, each tensor's dims, and the chunk sizes with every
+	// loop steady, with and without the spatially clipped final chunk.
+	maps                [tensor.NumDims]*dataflow.ResolvedMap
+	spatialDims         tensor.DimSet
+	tensorDims          [tensor.NumKinds]tensor.DimSet
+	steady, spatialEdge tensor.Sizes
 }
 
 // New builds the analysis for a level.
 func New(lv *dataflow.Level, layer tensor.Layer) *Analysis {
-	a := &Analysis{Level: lv, Layer: layer, Loops: make([]Loop, 0, len(lv.Maps)+1)}
+	a := new(Analysis)
+	a.Reset(lv, layer)
+	return a
+}
+
+// Reset rebinds a to a level, as New does, reusing its loop nest's
+// backing array. Loops and the tables keep pointers into lv.Maps, so lv
+// must not change while a is in use.
+func (a *Analysis) Reset(lv *dataflow.Level, layer tensor.Layer) {
+	loops := a.Loops[:0]
+	if cap(loops) < len(lv.Maps)+1 {
+		loops = make([]Loop, 0, len(lv.Maps)+1)
+	}
+	*a = Analysis{Level: lv, Layer: layer, Loops: loops, spatialDims: lv.SpatialDims()}
 	for i := range lv.Maps {
 		m := &lv.Maps[i]
+		a.maps[m.Dim] = m
+		a.steady[m.Dim] = m.Size
+		a.spatialEdge[m.Dim] = m.Size
+		if m.Kind == dataflow.Spatial {
+			a.spatialEdge[m.Dim] = m.EdgeSize
+		}
 		if i == lv.FoldPos {
 			a.Loops = append(a.Loops, Loop{IsFold: true, Steps: lv.Folds})
 		}
@@ -53,11 +82,14 @@ func New(lv *dataflow.Level, layer tensor.Layer) *Analysis {
 			a.Loops = append(a.Loops, Loop{Map: m, Steps: m.Steps})
 		}
 	}
-	a.anchoredY = lv.Map(tensor.Y).Size >= lv.Map(tensor.R).DimSize
-	a.anchoredX = lv.Map(tensor.X).Size >= lv.Map(tensor.S).DimSize
+	for _, k := range tensor.AllKinds() {
+		a.tensorDims[k] = layer.TensorDims(k)
+	}
+	a.anchoredY = a.maps[tensor.Y].Size >= a.maps[tensor.R].DimSize
+	a.anchoredX = a.maps[tensor.X].Size >= a.maps[tensor.S].DimSize
 	spOf := func(d tensor.Dim) int {
-		if lv.IsSpatial(d) {
-			return lv.Map(d).Offset
+		if a.spatialDims.Has(d) {
+			return a.maps[d].Offset
 		}
 		return 0
 	}
@@ -73,11 +105,10 @@ func New(lv *dataflow.Level, layer tensor.Layer) *Analysis {
 	}
 	a.outShiftY = outShift(spOf(tensor.Y), rOff, layer.StrideY)
 	a.outShiftX = outShift(spOf(tensor.X), sOff, layer.StrideX)
-	spatialDims := lv.SpatialDims()
 	for _, k := range tensor.AllKinds() {
-		dims := layer.TensorDims(k)
+		dims := a.tensorDims[k]
 		for d := tensor.Dim(0); d < tensor.NumDims; d++ {
-			if !spatialDims.Has(d) {
+			if !a.spatialDims.Has(d) {
 				continue
 			}
 			switch {
@@ -95,13 +126,15 @@ func New(lv *dataflow.Level, layer tensor.Layer) *Analysis {
 		}
 	}
 	for li, lp := range a.Loops {
+		if lp.Steps > 1 {
+			a.multi |= 1 << uint(li)
+		}
 		for _, k := range tensor.AllKinds() {
 			if a.loopAffects(k, lp) {
 				a.affects[k] |= 1 << uint(li)
 			}
 		}
 	}
-	return a
 }
 
 // outShift computes the per-sub-cluster shift of the output tile along an
@@ -121,7 +154,7 @@ func (a *Analysis) loopAffects(k tensor.Kind, lp Loop) bool {
 		return a.spatial[k]
 	}
 	d := lp.Map.Dim
-	if a.Layer.TensorDims(k).Has(d) {
+	if a.tensorDims[k].Has(d) {
 		return true
 	}
 	// Filter dims shift the output window only when the activation chunk
@@ -146,12 +179,7 @@ func (a *Analysis) Affects(k tensor.Kind, li int) bool {
 // changes tensor k's tile (which forfeits reuse credit: the buffer only
 // holds the live tile).
 func (a *Analysis) InnerAffecting(k tensor.Kind, li int) bool {
-	for j := li + 1; j < len(a.Loops); j++ {
-		if a.Loops[j].Steps > 1 && a.Affects(k, j) {
-			return true
-		}
-	}
-	return false
+	return (a.affects[k]&a.multi)>>uint(li+1) != 0
 }
 
 // SpatiallyVaries reports whether tensor k's tile differs across
@@ -170,14 +198,9 @@ func (a *Analysis) OutputReduced() bool {
 // (true selects the loop's final clipped chunk) and whether the
 // sub-cluster holds the spatially clipped final chunk.
 func (a *Analysis) Chunks(edges []bool, spatialEdge bool) tensor.Sizes {
-	var ch tensor.Sizes
-	for i := range a.Level.Maps {
-		m := &a.Level.Maps[i]
-		sz := m.Size
-		if m.Kind == dataflow.Spatial && spatialEdge {
-			sz = m.EdgeSize
-		}
-		ch = ch.Set(m.Dim, sz)
+	ch := a.steady
+	if spatialEdge {
+		ch = a.spatialEdge
 	}
 	for li, lp := range a.Loops {
 		if !lp.IsFold && li < len(edges) && edges[li] {
@@ -202,7 +225,7 @@ type axis struct {
 
 // axisList is a tensor tile's decomposition into independent axes, by
 // value: no tensor has more than four, so the per-case reuse queries
-// build it on the stack.
+// build it on their stack and axes fills it in place.
 type axisList struct {
 	ax [4]axis
 	n  int
@@ -217,13 +240,13 @@ func (l *axisList) add(ax axis) {
 func (l *axisList) list() []axis { return l.ax[:l.n] }
 
 // axes decomposes tensor k's tile into independent axes for the given
-// chunk sizes and `active` sub-clusters.
-func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) axisList {
+// chunk sizes and `active` sub-clusters, appending them to axs.
+func (a *Analysis) axes(axs *axisList, k tensor.Kind, ch tensor.Sizes, active int) {
 	direct := func(d tensor.Dim) axis {
 		c := int64(ch.Get(d))
 		u := c
-		if a.Level.IsSpatial(d) {
-			m := a.Level.Map(d)
+		if a.spatialDims.Has(d) {
+			m := a.maps[d]
 			uu := (active-1)*m.Offset + ch.Get(d)
 			if uu > m.DimSize {
 				uu = m.DimSize
@@ -233,7 +256,7 @@ func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) axisList {
 		return axis{perPE: c, union: u, dims: tensor.NewDimSet(d)}
 	}
 	outAxis := func(act, filt tensor.Dim, stride, shift int, anchored bool) axis {
-		full := a.Level.Map(filt).DimSize
+		full := a.maps[filt].DimSize
 		win := tensor.EffectiveWindow(ch.Get(act), ch.Get(filt), full)
 		o := int64(tensor.OutSpan(ch.Get(act), win, stride))
 		u := o
@@ -251,13 +274,12 @@ func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) axisList {
 		}
 		return axis{perPE: o, union: u, dims: dims}
 	}
-	var axs axisList
 	switch k {
 	case tensor.Weight:
 		axs.add(direct(tensor.C))
 		axs.add(direct(tensor.R))
 		axs.add(direct(tensor.S))
-		if a.Layer.TensorDims(tensor.Weight).Has(tensor.K) {
+		if a.tensorDims[tensor.Weight].Has(tensor.K) {
 			axs.add(direct(tensor.K))
 		}
 	case tensor.Input:
@@ -269,19 +291,19 @@ func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) axisList {
 		axs.add(direct(tensor.N))
 		axs.add(outAxis(tensor.Y, tensor.R, a.Layer.StrideY, a.outShiftY, a.anchoredY))
 		axs.add(outAxis(tensor.X, tensor.S, a.Layer.StrideX, a.outShiftX, a.anchoredX))
-		if a.Layer.TensorDims(tensor.Output).Has(tensor.K) {
+		if a.tensorDims[tensor.Output].Has(tensor.K) {
 			axs.add(direct(tensor.K))
 		} else {
 			axs.add(direct(tensor.C))
 		}
 	}
-	return axs
 }
 
 // TileOf returns the per-sub-cluster tile size (elements) of tensor k for
 // the given chunk sizes.
 func (a *Analysis) TileOf(k tensor.Kind, ch tensor.Sizes) int64 {
-	axs := a.axes(k, ch, 1)
+	var axs axisList
+	a.axes(&axs, k, ch, 1)
 	t := int64(1)
 	for _, ax := range axs.list() {
 		t *= ax.perPE
@@ -296,7 +318,8 @@ func (a *Analysis) UnionTile(k tensor.Kind, ch tensor.Sizes, active int) int64 {
 	if active < 1 {
 		return 0
 	}
-	axs := a.axes(k, ch, active)
+	var axs axisList
+	a.axes(&axs, k, ch, active)
 	t := int64(1)
 	for _, ax := range axs.list() {
 		t *= ax.union
@@ -318,7 +341,8 @@ func (a *Analysis) UnionTile(k tensor.Kind, ch tensor.Sizes, active int) int64 {
 //   - otherwise the whole tile is refetched (the double-buffered local
 //     store only holds the live tile).
 func (a *Analysis) NewData(k tensor.Kind, li int, ch tensor.Sizes, active int) (perPE, union int64) {
-	axs := a.axes(k, ch, active)
+	var axs axisList
+	a.axes(&axs, k, ch, active)
 	perPE, union = 1, 1
 	for _, ax := range axs.list() {
 		perPE *= ax.perPE
@@ -377,8 +401,8 @@ func (a *Analysis) shiftOf(k tensor.Kind, d tensor.Dim, off int) int {
 // Psums returns the partial sums (MACs) one sub-cluster computes for one
 // full pass over the given chunk sizes.
 func (a *Analysis) Psums(ch tensor.Sizes) int64 {
-	wy := tensor.EffectiveWindow(ch.Get(tensor.Y), ch.Get(tensor.R), a.Level.Map(tensor.R).DimSize)
-	wx := tensor.EffectiveWindow(ch.Get(tensor.X), ch.Get(tensor.S), a.Level.Map(tensor.S).DimSize)
+	wy := tensor.EffectiveWindow(ch.Get(tensor.Y), ch.Get(tensor.R), a.maps[tensor.R].DimSize)
+	wx := tensor.EffectiveWindow(ch.Get(tensor.X), ch.Get(tensor.S), a.maps[tensor.S].DimSize)
 	oy := tensor.OutSpan(ch.Get(tensor.Y), wy, a.Layer.StrideY)
 	ox := tensor.OutSpan(ch.Get(tensor.X), wx, a.Layer.StrideX)
 	return int64(ch.Get(tensor.N)) * int64(ch.Get(tensor.K)) * int64(ch.Get(tensor.C)) *
@@ -392,7 +416,7 @@ func (a *Analysis) Psums(ch tensor.Sizes) int64 {
 // stays self-consistent down the hierarchy.
 func (a *Analysis) ChildDims(ch tensor.Sizes) tensor.Sizes {
 	shrink := func(act, filt tensor.Dim, stride int) {
-		full := a.Level.Map(filt).DimSize
+		full := a.maps[filt].DimSize
 		cf := ch.Get(filt)
 		if ca := ch.Get(act); ca >= full && cf < full {
 			outs := tensor.OutSpan(ca, full, stride)

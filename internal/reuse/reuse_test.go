@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/dataflow"
+	"repro/internal/dataflows"
+	"repro/internal/hw"
+	"repro/internal/models"
 	"repro/internal/tensor"
 )
 
@@ -339,4 +342,287 @@ func TestReuseProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The reference queries below scan Level.Maps and read the Layer for
+// every call, as the engine did before New precomputed its tables:
+// refChunks rebuilds the chunk sizes map by map, refAxes looks each
+// dimension's map up by a linear scan, and refNewData recomputes
+// Affects and InnerAffecting from the layer's tensor dims. They share
+// none of the tables, so TestQueriesMatchReference checks the tables
+// against the code they replaced.
+
+func refChunks(a *Analysis, edges []bool, spatialEdge bool) tensor.Sizes {
+	var ch tensor.Sizes
+	for i := range a.Level.Maps {
+		m := &a.Level.Maps[i]
+		sz := m.Size
+		if m.Kind == dataflow.Spatial && spatialEdge {
+			sz = m.EdgeSize
+		}
+		ch = ch.Set(m.Dim, sz)
+	}
+	for li, lp := range a.Loops {
+		if !lp.IsFold && li < len(edges) && edges[li] {
+			ch = ch.Set(lp.Map.Dim, lp.Map.EdgeSize)
+		}
+	}
+	return ch
+}
+
+func refAxes(a *Analysis, k tensor.Kind, ch tensor.Sizes, active int) []axis {
+	direct := func(d tensor.Dim) axis {
+		c := int64(ch.Get(d))
+		u := c
+		if a.Level.IsSpatial(d) {
+			m := a.Level.Map(d)
+			uu := (active-1)*m.Offset + ch.Get(d)
+			if uu > m.DimSize {
+				uu = m.DimSize
+			}
+			u = int64(uu)
+		}
+		return axis{perPE: c, union: u, dims: tensor.NewDimSet(d)}
+	}
+	outAxis := func(act, filt tensor.Dim, stride, shift int, anchored bool) axis {
+		full := a.Level.Map(filt).DimSize
+		win := tensor.EffectiveWindow(ch.Get(act), ch.Get(filt), full)
+		o := int64(tensor.OutSpan(ch.Get(act), win, stride))
+		u := o
+		if shift != 0 {
+			u = int64(active-1)*int64(shift) + o
+			limWin := tensor.EffectiveWindow(a.Level.Dims.Get(act), ch.Get(filt), full)
+			lim := int64(tensor.OutSpan(a.Level.Dims.Get(act), limWin, stride))
+			if u > lim && lim > 0 {
+				u = lim
+			}
+		}
+		dims := tensor.NewDimSet(act, filt)
+		if anchored {
+			dims = tensor.NewDimSet(act)
+		}
+		return axis{perPE: o, union: u, dims: dims}
+	}
+	var axs []axis
+	switch k {
+	case tensor.Weight:
+		axs = append(axs, direct(tensor.C), direct(tensor.R), direct(tensor.S))
+		if a.Layer.TensorDims(tensor.Weight).Has(tensor.K) {
+			axs = append(axs, direct(tensor.K))
+		}
+	case tensor.Input:
+		axs = append(axs, direct(tensor.N), direct(tensor.C), direct(tensor.Y), direct(tensor.X))
+	case tensor.Output:
+		axs = append(axs, direct(tensor.N),
+			outAxis(tensor.Y, tensor.R, a.Layer.StrideY, a.outShiftY, a.anchoredY),
+			outAxis(tensor.X, tensor.S, a.Layer.StrideX, a.outShiftX, a.anchoredX))
+		if a.Layer.TensorDims(tensor.Output).Has(tensor.K) {
+			axs = append(axs, direct(tensor.K))
+		} else {
+			axs = append(axs, direct(tensor.C))
+		}
+	}
+	return axs
+}
+
+// refTiles multiplies the reference axes: the per-sub-cluster tile and
+// the union across active sub-clusters.
+func refTiles(a *Analysis, k tensor.Kind, ch tensor.Sizes, active int) (perPE, union int64) {
+	perPE, union = 1, 1
+	for _, ax := range refAxes(a, k, ch, active) {
+		perPE *= ax.perPE
+		union *= ax.union
+	}
+	return perPE, union
+}
+
+func refTileOf(a *Analysis, k tensor.Kind, ch tensor.Sizes) int64 {
+	perPE, _ := refTiles(a, k, ch, 1)
+	return perPE
+}
+
+func refUnionTile(a *Analysis, k tensor.Kind, ch tensor.Sizes, active int) int64 {
+	_, union := refTiles(a, k, ch, active)
+	return union
+}
+
+func refAffects(a *Analysis, k tensor.Kind, li int) bool {
+	lp := a.Loops[li]
+	if lp.IsFold {
+		return a.spatial[k]
+	}
+	d := lp.Map.Dim
+	if a.Layer.TensorDims(k).Has(d) {
+		return true
+	}
+	switch {
+	case k == tensor.Output && d == tensor.R:
+		return !a.anchoredY
+	case k == tensor.Output && d == tensor.S:
+		return !a.anchoredX
+	}
+	return false
+}
+
+func refInnerAffecting(a *Analysis, k tensor.Kind, li int) bool {
+	for j := li + 1; j < len(a.Loops); j++ {
+		if a.Loops[j].Steps > 1 && refAffects(a, k, j) {
+			return true
+		}
+	}
+	return false
+}
+
+func refNewData(a *Analysis, k tensor.Kind, li int, ch tensor.Sizes, active int) (perPE, union int64) {
+	perPE, union = refTiles(a, k, ch, active)
+	if li < 0 {
+		return perPE, union
+	}
+	lp := a.Loops[li]
+	if !refAffects(a, k, li) {
+		if refInnerAffecting(a, k, li) {
+			return perPE, union
+		}
+		return 0, 0
+	}
+	if refInnerAffecting(a, k, li) || lp.IsFold {
+		return perPE, union
+	}
+	d := lp.Map.Dim
+	shift := int64(a.shiftOf(k, d, lp.Map.Offset))
+	for _, ax := range refAxes(a, k, ch, active) {
+		if ax.dims.Has(d) {
+			return slide(perPE, ax.perPE, shift), slide(union, ax.union, shift)
+		}
+	}
+	return perPE, union
+}
+
+// TestQueriesMatchReference checks Chunks, TileOf, UnionTile and NewData
+// against the reference queries on every level node of every zoo layer
+// under every Table 3 dataflow that resolves on Accel256. Table 3's
+// spatial maps never end in a clipped chunk there, so it adds a
+// two-level dataflow whose spatial chunks do not divide their
+// dimensions, and two odd-sized layers. At each node
+// it tries every edge vector the case walk can produce (each subset of
+// the loops with a clipped final chunk, with and without the spatially
+// clipped chunk), every active count (one, the last fold's and all
+// sub-clusters), every tensor and every advancing loop, and recurses
+// into every child sub-problem those chunks hand down. Like the
+// engine's pooled walk, it resolves each depth into one Level and
+// Analysis reused across nodes and layers (LevelInto and Reset), so
+// stale state would show too.
+func TestQueriesMatchReference(t *testing.T) {
+	cfg := hw.Accel256()
+	type node struct {
+		level int
+		dims  tensor.Sizes
+	}
+	layers := map[string][]tensor.Layer{"odd": {
+		{Name: "odd-conv", Op: tensor.Conv2D, Sizes: tensor.Sizes{tensor.N: 1, tensor.K: 37, tensor.C: 19, tensor.Y: 29, tensor.X: 31, tensor.R: 3, tensor.S: 3}},
+		{Name: "odd-pw", Op: tensor.PointwiseConv, Sizes: tensor.Sizes{tensor.N: 3, tensor.K: 101, tensor.C: 67, tensor.Y: 13, tensor.X: 11, tensor.R: 1, tensor.S: 1}},
+	}}
+	sets := append([]string{"odd"}, models.Zoo()...)
+	for _, model := range sets[1:] {
+		m, ok := models.ByName(model)
+		if !ok {
+			t.Fatalf("zoo model %s not found", model)
+		}
+		for _, li := range m.Layers {
+			layers[model] = append(layers[model], li.Layer)
+		}
+	}
+	dfs := []dataflow.Dataflow{{Name: "edges", Directives: []dataflow.Directive{
+		dataflow.SMap(dataflow.Lit(3), dataflow.Lit(3), tensor.K),
+		dataflow.TMap(dataflow.Lit(5), dataflow.Lit(5), tensor.C),
+		dataflow.TMap(dataflow.Sz(tensor.R), dataflow.Lit(1), tensor.Y),
+		dataflow.TMap(dataflow.Sz(tensor.S), dataflow.Lit(1), tensor.X),
+		dataflow.ClusterOf(dataflow.Lit(4)),
+		dataflow.SMap(dataflow.Lit(2), dataflow.Lit(2), tensor.C),
+	}}}
+	for _, name := range dataflows.Names {
+		dfs = append(dfs, dataflows.Get(name))
+	}
+	var lvs []dataflow.Level
+	var as []Analysis
+	nodes, queries, spatialEdges := 0, 0, 0
+	for _, model := range sets {
+		for _, layer := range layers[model] {
+			for _, df := range dfs {
+				spec, err := dataflow.Resolve(df, layer, cfg.NumPEs)
+				if err != nil {
+					continue
+				}
+				at := model + "/" + layer.Name + "/" + df.Name
+				for len(lvs) < spec.NumLevels() {
+					lvs, as = append(lvs, dataflow.Level{}), append(as, Analysis{})
+				}
+				seen := map[node]bool{}
+				var walk func(level int, dims tensor.Sizes)
+				walk = func(level int, dims tensor.Sizes) {
+					if level == spec.NumLevels() || seen[node{level, dims}] {
+						return
+					}
+					seen[node{level, dims}] = true
+					lv, a := &lvs[level], &as[level]
+					if spec.LevelInto(lv, level, dims) != nil {
+						return
+					}
+					a.Reset(lv, spec.Layer)
+					nodes++
+					var edgeLoops []int
+					for i, lp := range a.Loops {
+						if !lp.IsFold && lp.Map.HasEdge() {
+							edgeLoops = append(edgeLoops, i)
+						}
+					}
+					for _, si := range lv.Spatial {
+						if lv.Maps[si].HasEdge() {
+							spatialEdges++
+						}
+					}
+					actives := []int{1, lv.LastFoldActive, lv.SubClusters}
+					edges := make([]bool, len(a.Loops))
+					for set := 0; set < 1<<len(edgeLoops); set++ {
+						for j, i := range edgeLoops {
+							edges[i] = set&(1<<j) != 0
+						}
+						for _, spatialEdge := range []bool{false, true} {
+							ch := a.Chunks(edges, spatialEdge)
+							if want := refChunks(a, edges, spatialEdge); ch != want {
+								t.Fatalf("%s level %d %v: Chunks(%v, %v) = %v, reference %v",
+									at, level, dims, edges, spatialEdge, ch, want)
+							}
+							for _, k := range tensor.AllKinds() {
+								if got, want := a.TileOf(k, ch), refTileOf(a, k, ch); got != want {
+									t.Fatalf("%s level %d %v: TileOf(%s, %v) = %d, reference %d", at, level, dims, k, ch, got, want)
+								}
+								for _, active := range actives {
+									queries++
+									if got, want := a.UnionTile(k, ch, active), refUnionTile(a, k, ch, active); got != want {
+										t.Fatalf("%s level %d %v: UnionTile(%s, %v, %d) = %d, reference %d",
+											at, level, dims, k, ch, active, got, want)
+									}
+									for adv := -1; adv < len(a.Loops); adv++ {
+										p, u := a.NewData(k, adv, ch, active)
+										rp, ru := refNewData(a, k, adv, ch, active)
+										if p != rp || u != ru {
+											t.Fatalf("%s level %d %v: NewData(%s, %d, %v, %d) = %d/%d, reference %d/%d",
+												at, level, dims, k, adv, ch, active, p, u, rp, ru)
+										}
+									}
+								}
+							}
+							walk(level+1, a.ChildDims(ch))
+						}
+					}
+				}
+				walk(0, spec.Layer.Sizes)
+			}
+		}
+	}
+	if nodes == 0 || spatialEdges == 0 {
+		t.Fatalf("%d level nodes, %d with a clipped spatial chunk: want some of each", nodes, spatialEdges)
+	}
+	t.Logf("%d level nodes (%d with a clipped spatial chunk), %d (tensor, chunks, active) queries", nodes, spatialEdges, queries)
 }
