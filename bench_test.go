@@ -154,26 +154,6 @@ func BenchmarkTuner(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSchedule measures whole-network scheduling with L2
-// residency over MobileNetV2.
-func BenchmarkNetworkSchedule(b *testing.B) {
-	model := maestro.MobileNetV2()
-	cfg := maestro.Accel256()
-	fixed := func(maestro.Layer) (maestro.Dataflow, bool) {
-		return maestro.DataflowByName("KC-P"), true
-	}
-	for i := 0; i < b.N; i++ {
-		s, err := maestro.ScheduleNetwork(model, cfg, maestro.NetOptions{
-			Dataflow: fixed, L2Bytes: 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.TotalCycles == 0 {
-			b.Fatal("empty schedule")
-		}
-	}
-}
-
 // BenchmarkSimAlexNetConv2 measures the simulator on a full AlexNet
 // layer at Eyeriss scale (one Figure 9 data point).
 func BenchmarkSimAlexNetConv2(b *testing.B) {

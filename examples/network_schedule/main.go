@@ -2,7 +2,8 @@
 // keeps activations resident in the shared L2 between layers and pins
 // residual sources — the inter-layer effects the paper's Table 4 lists
 // for residual links. The example compares DRAM traffic with and
-// without residency on a ResNet-style block chain.
+// without residency on a ResNet-style block chain: without it, the
+// residual's reader fetches the source from DRAM again.
 package main
 
 import (
@@ -37,6 +38,7 @@ func main() {
 		opt  maestro.NetOptions
 	}{
 		{"no residency (layer-by-layer DRAM round trips)", maestro.NetOptions{Dataflow: fixed}},
+		{"no residency, residual re-fetched", maestro.NetOptions{Dataflow: fixed, Residuals: residuals}},
 		{"1 MB L2 residency", maestro.NetOptions{Dataflow: fixed, L2Bytes: 1 << 20}},
 		{"1 MB L2 + residual pinned", maestro.NetOptions{Dataflow: fixed, L2Bytes: 1 << 20, Residuals: residuals}},
 		{"tuned mappings + residency", maestro.NetOptions{L2Bytes: 1 << 20, Residuals: residuals}},
@@ -50,11 +52,14 @@ func main() {
 			run.name, s.TotalCycles, s.DRAMTraffic, s.EnergyPJ/1e6)
 	}
 
-	fmt.Println("\nper-layer residency of the pinned schedule:")
-	s, _ := maestro.ScheduleNetwork(model, cfg, runs[2].opt)
-	for _, p := range s.Plans {
+	fmt.Println("\nper-layer residency of the pinned schedule (one group per layer):")
+	s, err := maestro.ScheduleNetwork(model, cfg, runs[3].opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, g := range s.Groups {
 		fmt.Printf("  %-8s in-resident=%-5v out-resident=%-5v pinned=%dB dram=%d\n",
-			p.Inst.Layer.Name, p.InputResident, p.OutputResident, p.HeldBytes,
-			p.DRAMReads+p.DRAMWrites)
+			g.Members[0].Inst.Layer.Name, g.InputResident, g.OutputResident, g.RetainedBytes,
+			g.DRAMReads+g.DRAMWrites)
 	}
 }

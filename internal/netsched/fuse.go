@@ -24,12 +24,15 @@ type MemberPlan struct {
 	Result   *core.Result
 }
 
-// GroupPlan is one fusion subgraph of a fused schedule: a contiguous
-// interval [Lo, Hi] of the (topologically ordered) layer list executed
-// as a unit. A fused group streams tile bands through L2: external
-// activations cross DRAM once, intermediates never do, and each member
-// whose output escapes the group writes it once. An unfused (singleton)
-// group is priced exactly by the per-layer engine.
+// GroupPlan is one group of a schedule: a contiguous interval [Lo, Hi]
+// of the (topologically ordered) layer list executed as a unit. A fused
+// group (RunFused) streams tile bands through L2: external activations
+// cross DRAM once, intermediates never do, and each member whose output
+// escapes the group writes it once. An unfused (singleton) group of
+// RunFused is priced exactly by the per-layer engine. Every group of Run
+// is a singleton whose member runs its mapping at the L2 left beside the
+// resident activations, with the residency discounts applied to its
+// claims.
 type GroupPlan struct {
 	Lo, Hi int // inclusive layer interval
 	Fused  bool
@@ -42,22 +45,31 @@ type GroupPlan struct {
 	// across all bands (read from DRAM once) or stream in per band.
 	WeightsResident bool
 
+	// InputResident and OutputResident are Run's residency decisions.
+	// An input-resident layer read every producer's output from L2, so
+	// its input reads are discounted. An output-resident layer kept its
+	// output in L2 for its readers instead of writing it to DRAM; if a
+	// crowded later layer evicted it after a reader ran, the write is
+	// charged back and the flag stays set. RunFused sets neither.
+	InputResident, OutputResident bool
+
 	// Externals lists the distinct external tensors the group reads:
 	// a producer layer index < Lo, or -(member+1) for a member that
 	// reads the model input.
 	Externals []int
 
-	// Claimed off-chip element transfers per instance. For fused groups
-	// DRAMReads = ActReads + WeightReads and DRAMWrites = ActWrites; for
-	// singletons the engine totals are authoritative and the act/weight
-	// split is derived from the same retention decision.
+	// Claimed off-chip element transfers per instance, split by tensor:
+	// DRAMReads = ActReads + WeightReads and DRAMWrites = ActWrites. An
+	// unfused group's split is the engine's per-tensor DRAM traffic,
+	// less Run's residency discounts.
 	ActReads, WeightReads, ActWrites int64
 	DRAMReads, DRAMWrites            int64
 
 	// RetainedBytes is the L2 held by intermediate and external input
-	// windows between fused stages; L2PeakBytes the full footprint
-	// (windows + resident weights + staging + output bands) the
-	// capacity check admitted.
+	// windows between fused stages; for a Run group, the resident
+	// outputs a later layer still reads, pinned while this one runs.
+	// L2PeakBytes is a fused group's full footprint (windows + resident
+	// weights + staging + output bands) the capacity check admitted.
 	RetainedBytes, L2PeakBytes int64
 
 	// Cycles is the group's on-chip runtime over all instances.
@@ -163,6 +175,8 @@ type groupCost struct {
 	// msMembers: the members run their minimal-staging fallback mappings
 	// because the compact re-tunes did not fit beside the band windows.
 	msMembers bool
+	// inRes, outRes: a Run singleton's residency decisions.
+	inRes, outRes bool
 
 	actR, wR, actW int64 // per instance
 	readsPI        int64 // per instance, total

@@ -85,7 +85,7 @@ func TestFusedGroupsPartition(t *testing.T) {
 
 // TestFusedSentinelMatchesPerLayerSum pins the L2Bytes=0 contract: no
 // fusion, no retention, and DRAM traffic bit-identical to the plain
-// per-layer schedule.
+// per-layer schedule. Run then builds exactly RunFused's schedule.
 func TestFusedSentinelMatchesPerLayerSum(t *testing.T) {
 	for _, m := range []models.Model{chain(), models.GoogLeNet()} {
 		for name, opt := range map[string]Options{
@@ -110,6 +110,9 @@ func TestFusedSentinelMatchesPerLayerSum(t *testing.T) {
 			if fused.BaselineDRAM != fused.DRAMTraffic {
 				t.Errorf("%s/%s: baseline %d != traffic %d at sentinel",
 					m.Name, name, fused.BaselineDRAM, fused.DRAMTraffic)
+			}
+			if !reflect.DeepEqual(fused, plain) {
+				t.Errorf("%s/%s: Run's sentinel schedule differs from RunFused's", m.Name, name)
 			}
 		}
 	}
@@ -155,8 +158,10 @@ func TestFusedMembersMatchEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range plain.Plans {
-			check("Run "+p.Inst.Layer.Name, p.Dataflow, p.Inst.Layer, p.Result)
+		for _, gp := range plain.Groups {
+			for _, mb := range gp.Members {
+				check("Run "+mb.Inst.Layer.Name, mb.Dataflow, mb.Inst.Layer, mb.Result)
+			}
 		}
 	}
 }
@@ -166,17 +171,39 @@ func TestFusedMembersMatchEngine(t *testing.T) {
 // the Result it runs, then the group's DRAM traffic. Members carry their
 // energy priced once per mapping, so a member that ran the compact or
 // minimal-staging re-tune must carry that mapping's energy, not its
-// base mapping's. Tuned schedules re-tune fused members; the two caps
-// share one fuser.
+// base mapping's, and a Run member the energy of its mapping re-priced
+// at the L2 its residency left it. Tuned schedules re-tune fused
+// members; the two caps share one fuser.
 func TestFusedEnergyFromMembers(t *testing.T) {
 	m := models.GoogLeNet()
 	cfg := edgeCfg()
 	retuned := 0
 	for _, df := range []func(tensor.Layer) (dataflow.Dataflow, bool){fixedKCP, nil} {
 		for _, l2 := range []int64{0, 64 << 10, 256 << 10} {
-			scheds, err := RunFusedCaps(m, cfg, Options{L2Bytes: l2, Dataflow: df}, []int{2, 8})
+			opt := Options{L2Bytes: l2, Dataflow: df}
+			scheds, err := RunFusedCaps(m, cfg, opt, []int{2, 8})
 			if err != nil {
 				t.Fatal(err)
+			}
+			run, err := Run(m, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds = append(scheds, run)
+			// Re-pricing at a smaller L2 moves only the last bits of a
+			// member's on-chip energy (OnChip is Total - DRAM), which the
+			// schedule's sum can absorb, so Run's mappings are checked one
+			// by one.
+			f, err := newFuser(m, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.residency()
+			for i, mp := range f.base {
+				if want := mp.r.EnergyDefault().OnChip(); mp.onChipPJ != want {
+					t.Errorf("fixed=%v L2 %d: Run member %d carries on-chip energy %v, its result's is %v",
+						df != nil, l2, i, mp.onChipPJ, want)
+				}
 			}
 			for _, s := range scheds {
 				var want float64
@@ -218,9 +245,30 @@ func BenchmarkRunFused(b *testing.B) {
 	}
 }
 
+// BenchmarkRun schedules MobileNetV2 at 1 MiB with a fixed KC-P mapping
+// on a warm profile cache: Run's residency pass over one singleton
+// group per layer.
+func BenchmarkRun(b *testing.B) {
+	m := models.MobileNetV2()
+	opt := Options{L2Bytes: 1 << 20, Dataflow: fixedKCP}
+	if _, err := Run(m, hw.Accel256(), opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(m, hw.Accel256(), opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestFusedRejectsNegativeL2(t *testing.T) {
 	if _, err := RunFused(chain(), hw.Accel256(), FuseOptions{Options: Options{L2Bytes: -1}}); err == nil {
 		t.Error("negative L2Bytes accepted")
+	}
+	if _, err := Run(chain(), hw.Accel256(), Options{L2Bytes: -1}); err == nil {
+		t.Error("Run accepted a negative L2Bytes")
 	}
 }
 
@@ -325,10 +373,10 @@ func TestOverlappingResidualsHeldOnce(t *testing.T) {
 	}
 	// The overlapping edge adds no pressure: the source is live through
 	// layer 3 either way, so held bytes and traffic must match exactly.
-	for i := range one.Plans {
-		if one.Plans[i].HeldBytes != two.Plans[i].HeldBytes {
+	for i := range one.Groups {
+		if one.Groups[i].RetainedBytes != two.Groups[i].RetainedBytes {
 			t.Errorf("layer %d held %d with one edge, %d with overlapping edges",
-				i, one.Plans[i].HeldBytes, two.Plans[i].HeldBytes)
+				i, one.Groups[i].RetainedBytes, two.Groups[i].RetainedBytes)
 		}
 	}
 	if one.DRAMTraffic != two.DRAMTraffic {
@@ -336,9 +384,9 @@ func TestOverlappingResidualsHeldOnce(t *testing.T) {
 			one.DRAMTraffic, two.DRAMTraffic)
 	}
 	// And the held capacity is exactly one copy of layer 0's output.
-	want := scaled(m.Layers[0].Layer, tensor.Output, cfg.Normalize())
-	if two.Plans[1].HeldBytes != want {
-		t.Errorf("held %d bytes, want one copy = %d", two.Plans[1].HeldBytes, want)
+	want := scaledElems(m.Layers[0].Layer, tensor.Output) * int64(cfg.Normalize().ElemBytes)
+	if two.Groups[1].RetainedBytes != want {
+		t.Errorf("held %d bytes, want one copy = %d", two.Groups[1].RetainedBytes, want)
 	}
 }
 

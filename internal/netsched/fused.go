@@ -8,9 +8,12 @@ import (
 	"repro/internal/models"
 )
 
-// FusedSchedule is the graph-level schedule: the layer list partitioned
-// into fusion subgraphs, with claimed off-chip traffic per group and the
-// per-layer (unfused) baseline for the same mappings and L2 budget.
+// FusedSchedule is a network schedule: the layer list partitioned into
+// groups, with claimed off-chip traffic per group, and the baseline the
+// same mappings and L2 budget cost with no cross-layer reuse. RunFused
+// fills it with fusion subgraphs; Run with one singleton group per layer
+// and the layer's residency decisions (GroupPlan.InputResident and
+// OutputResident).
 type FusedSchedule struct {
 	Model   models.Model
 	L2Bytes int64
@@ -21,8 +24,10 @@ type FusedSchedule struct {
 	// instances; ActTraffic its activation-only portion.
 	DRAMTraffic int64
 	ActTraffic  int64
-	// BaselineDRAM/BaselineAct price every layer as its own group under
-	// the same L2 budget — what the network costs without fusion.
+	// BaselineDRAM/BaselineAct price every layer as its own group with
+	// nothing kept across layers: for RunFused, each layer unfused under
+	// the same L2 budget; for Run, the same groups with no output kept
+	// resident (every residual source re-fetched).
 	BaselineDRAM int64
 	BaselineAct  int64
 	// DRAMSaved = BaselineDRAM - DRAMTraffic.
@@ -68,11 +73,6 @@ func RunFusedCaps(m models.Model, cfg hw.Config, opt Options, caps []int) ([]*Fu
 	if err != nil {
 		return nil, err
 	}
-	var baseDRAM, baseAct int64
-	for i, sc := range f.single {
-		baseDRAM += sc.cost
-		baseAct += (sc.actR + sc.actW) * int64(m.Layers[i].Count)
-	}
 	// A cap at or above the layer count admits every interval; a
 	// non-positive cap means RunFused's default of 8.
 	n := len(m.Layers)
@@ -90,8 +90,8 @@ func RunFusedCaps(m models.Model, cfg hw.Config, opt Options, caps []int) ([]*Fu
 	}
 	out := make([]*FusedSchedule, len(caps))
 	for k := range caps {
-		s := &FusedSchedule{Model: m, L2Bytes: opt.L2Bytes, BaselineDRAM: baseDRAM, BaselineAct: baseAct}
-		f.assemble(s, partitionDAG(f, lens[k]))
+		s := &FusedSchedule{Model: m, L2Bytes: opt.L2Bytes}
+		f.assemble(s, partitionDAG(f, lens[k]), f.single)
 		out[k] = s
 	}
 	return out, nil
@@ -129,9 +129,18 @@ func newFuser(m models.Model, cfg hw.Config, opt Options) (*fuser, error) {
 	return f, nil
 }
 
-// assemble fills s with the groups of a partition and their totals.
-func (f *fuser) assemble(s *FusedSchedule, spans []groupSpan) {
+// assemble fills s with the groups of a schedule and every total: each
+// group's cycles, the schedule's cycles, DRAM and activation traffic,
+// the baseline (baseline holds each layer's cost as its own group with
+// nothing kept across layers) and DRAMSaved against it, energy, and the
+// DRAM-link bound.
+func (f *fuser) assemble(s *FusedSchedule, spans []groupSpan, baseline []groupCost) {
 	m := f.g.Model
+	for i, b := range baseline {
+		count := int64(m.Layers[i].Count)
+		s.BaselineDRAM += (b.readsPI + b.writesPI) * count
+		s.BaselineAct += (b.actR + b.actW) * count
+	}
 	s.Groups = make([]GroupPlan, 0, len(spans))
 	for _, sp := range spans {
 		c := sp.cost
@@ -140,6 +149,7 @@ func (f *fuser) assemble(s *FusedSchedule, spans []groupSpan) {
 			Lo: sp.lo, Hi: sp.hi, Fused: c.fused,
 			Count:    m.Layers[sp.lo].Count,
 			TileRows: c.tile, Bands: c.bands, WeightsResident: c.weightsResident,
+			InputResident: c.inRes, OutputResident: c.outRes,
 			ActReads: c.actR, WeightReads: c.wR, ActWrites: c.actW,
 			DRAMReads: c.readsPI, DRAMWrites: c.writesPI,
 			RetainedBytes: c.retained, L2PeakBytes: c.peak,
@@ -167,14 +177,15 @@ func (f *fuser) assemble(s *FusedSchedule, spans []groupSpan) {
 			gp.Cycles += mp.r.OnChipRuntime * nInst
 			s.EnergyPJ += mp.onChipPJ * float64(nInst)
 		}
+		traffic := (c.readsPI + c.writesPI) * count
 		s.TotalCycles += gp.Cycles
-		s.DRAMTraffic += c.cost
+		s.DRAMTraffic += traffic
 		s.ActTraffic += (c.actR + c.actW) * count
-		s.EnergyPJ += float64(c.cost) * energy.DRAMPJ
+		s.EnergyPJ += float64(traffic) * energy.DRAMPJ
 		s.Groups = append(s.Groups, gp)
 	}
 	s.DRAMSaved = s.BaselineDRAM - s.DRAMTraffic
-	// The DRAM link bounds the end-to-end runtime, as in Run.
+	// The DRAM link bounds the end-to-end runtime.
 	dramDelay := int64(float64(s.DRAMTraffic)/f.cfg.OffchipBandwidth + 0.999999)
 	if dramDelay > s.TotalCycles {
 		s.TotalCycles = dramDelay

@@ -1,23 +1,25 @@
-// Package netsched schedules a whole network layer by layer on one
-// accelerator. Beyond summing per-layer costs it models the inter-layer
-// data movement the paper's Table 4 points at:
+// Package netsched schedules a whole network on one accelerator. Beyond
+// summing per-layer costs it models the inter-layer data movement the
+// paper's Table 4 points at. A schedule is one type, FusedSchedule: the
+// layer list cut into groups, each with its claimed DRAM traffic, and
+// one roll-up of cycles, traffic and energy. Two schedulers fill it:
 //
-//   - an activation produced by layer i can stay resident in the shared
-//     L2 scratchpad and feed layer i+1 without a DRAM round trip, when
-//     capacity allows;
-//   - residual (skip) connections pin their source activation in L2
-//     across the intervening layers — or pay the "extra global buffer /
-//     DRAM accesses to fetch previous activation" the paper lists.
+//   - Run runs every layer as its own group and keeps activations
+//     resident in the shared L2 between their producer and their last
+//     reader when capacity allows. A residual (skip) source is pinned in
+//     L2 until its reader, or pays the "extra global buffer / DRAM
+//     accesses to fetch previous activation" the paper lists.
+//   - RunFused partitions the activation DAG into fusion groups that
+//     stream tile bands through L2, so intermediates never touch DRAM.
 //
 // Dataflows are chosen per layer: a fixed style, or the auto-tuner.
 package netsched
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/energy"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -41,175 +43,141 @@ type Options struct {
 	// and inter-layer residency. Zero disables residency (every layer
 	// round-trips DRAM), reproducing a plain per-layer sum.
 	L2Bytes int64
-	// Residuals lists skip connections.
+	// Residuals lists skip connections. Run reads each source again at
+	// its To layer; RunFused does not consult them.
 	Residuals []Edge
 }
 
-// LayerPlan is one scheduled layer.
-type LayerPlan struct {
-	Inst     models.LayerInst
-	Dataflow dataflow.Dataflow
-	Result   *core.Result
-	// InputResident/OutputResident report whether the layer's activation
-	// input/output stayed in L2 rather than round-tripping DRAM.
-	InputResident  bool
-	OutputResident bool
-	// HeldBytes is L2 capacity pinned by live residual sources while
-	// this layer runs.
-	HeldBytes int64
-	// DRAMReads/DRAMWrites are the layer's off-chip element transfers
-	// after residency adjustments.
-	DRAMReads, DRAMWrites int64
-}
-
-// Schedule is the end-to-end plan.
-type Schedule struct {
-	Plans       []LayerPlan
-	TotalCycles int64
-	// DRAMTraffic is the total off-chip elements moved, after residency.
-	DRAMTraffic int64
-	// DRAMSaved is the traffic residency avoided versus a no-residency
-	// schedule.
-	DRAMSaved int64
-	EnergyPJ  float64
-}
-
-// Run schedules every layer of the model in order.
-func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
-	cfg = cfg.Normalize()
+// Run schedules every layer of the model in order, one singleton group
+// per layer, deciding which activations stay resident in L2 between
+// their producer and their readers (see residency). BaselineDRAM prices
+// the same groups with nothing kept resident.
+func Run(m models.Model, cfg hw.Config, opt Options) (*FusedSchedule, error) {
 	if err := validateEdges(m, opt.Residuals); err != nil {
 		return nil, err
 	}
-	// liveUntil[i] = last layer index that still needs layer i's output
-	// beyond the immediate successor.
-	liveUntil := map[int]int{}
-	for _, e := range opt.Residuals {
-		if e.To > liveUntil[e.From] {
-			liveUntil[e.From] = e.To
+	f, err := newFuser(m, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	s := &FusedSchedule{Model: m, L2Bytes: opt.L2Bytes}
+	spans, baseline := f.residency()
+	f.assemble(s, spans, baseline)
+	return s, nil
+}
+
+// residency runs every layer as its own group, in order, and returns
+// the groups with their residency applied and the same groups with
+// nothing kept resident. It re-prices each layer's mapping in f.base
+// at the L2 left beside the resident outputs, so the fuser serves only
+// this schedule afterwards. Readers come from the graph and the
+// residual edges:
+//
+//   - a layer's output stays resident when it fits beside the staging
+//     tiles and every output already resident, and something later
+//     reads it; it stays until its last reader has run, so the model's
+//     final output is always written;
+//   - a layer reads its input from L2, and not from DRAM, only when
+//     every producer's output is resident;
+//   - a layer whose staging tiles do not fit beside the resident
+//     outputs evicts them all: each pays its DRAM write back, and later
+//     readers fetch it from DRAM;
+//   - a layer that reads a residual source which is not resident
+//     fetches the source's output from DRAM again.
+func (f *fuser) residency() (spans []groupSpan, baseline []groupCost) {
+	g, l2 := f.g, f.opt.L2Bytes
+	n := len(g.geo)
+	// first[p] and last[p] are the first and last layers that read
+	// layer p's output (n and -1 when nothing does); skips[i] lists the
+	// residual sources layer i reads.
+	first, last := make([]int, n), make([]int, n)
+	for p, outs := range g.Outs {
+		first[p], last[p] = n, -1
+		if len(outs) > 0 {
+			first[p], last[p] = outs[0], outs[len(outs)-1]
+		}
+	}
+	skips := make([][]int, n)
+	for _, e := range f.opt.Residuals {
+		first[e.From], last[e.From] = min(first[e.From], e.To), max(last[e.From], e.To)
+		if !slices.Contains(skips[e.To], e.From) {
+			skips[e.To] = append(skips[e.To], e.From)
 		}
 	}
 
-	sched := &Schedule{}
-	type resident struct {
-		bytes  int64
-		until  int   // last layer index that reads the tensor
-		savedW int64 // DRAM write elements the producer's retention discounted
-	}
-	// live holds every activation resident in L2, keyed by producer. A
-	// tensor that serves both as the next layer's chain input and as a
-	// pinned residual source appears once, so its capacity is charged
-	// once — two skip edges off one source likewise share one entry.
-	live := map[int]resident{}
-
-	for i, li := range m.Layers {
-		layer := li.Layer
-		ch, err := choose(layer, cfg, opt)
-		if err != nil {
-			return nil, fmt.Errorf("layer %s: %w", layer.Name, err)
-		}
-		df, r := ch.Dataflow, ch.Result
-
-		// L2 pressure: every live tensor — the chain input and pinned
-		// residual sources — shrinks what the layer may use for staging
-		// and retention, each counted once.
-		var residentBytes, heldBytes int64
-		for p, ent := range live {
-			if ent.until < i {
-				delete(live, p)
-				continue
-			}
-			residentBytes += ent.bytes
-			if ent.until > i {
-				// Held beyond this layer's own read: a residual pin.
-				heldBytes += ent.bytes
+	spans = make([]groupSpan, n)
+	baseline = make([]groupCost, n)
+	// live lists the layers whose output is resident, in layer order.
+	var live []int
+	for i := range spans {
+		// Outputs whose last reader has run leave L2. Every resident
+		// output shrinks what this layer may use for staging; those a
+		// later layer still reads are pinned while it runs.
+		var liveBytes, held int64
+		live = slices.DeleteFunc(live, func(p int) bool { return last[p] < i })
+		for _, p := range live {
+			b := g.geo[p].outElems * f.eb
+			liveBytes += b
+			if last[p] > i {
+				held += b
 			}
 		}
-		avail := opt.L2Bytes - residentBytes
-		// fits is decided against the pre-clamp capacity: residency is
-		// only real when the staging tiles fit beside everything live.
-		fits := avail >= r.L2ReqBytes()
-		if opt.L2Bytes > 0 {
-			if !fits {
-				// Resident activations crowd out the staging tiles: every
-				// live source spills — paying the DRAM write its producer's
-				// retention discounted — and consumers re-fetch it from
-				// DRAM (the paper's "extra global buffer / DRAM accesses").
-				// Eviction frees the whole budget for staging.
-				for p, ent := range live {
-					pp := &sched.Plans[p]
-					pp.OutputResident = false
-					pp.DRAMWrites += ent.savedW
-					n := int64(m.Layers[p].Count)
-					sched.DRAMTraffic += ent.savedW * n
-					sched.DRAMSaved -= ent.savedW * n
-					sched.EnergyPJ += float64(ent.savedW*n) * energy.DRAMPJ
-					delete(live, p)
+		mp := &f.base[i]
+		req := mp.r.L2ReqBytes()
+		avail := l2 - liveBytes
+		if l2 > 0 {
+			if avail < req {
+				// The resident outputs crowd out the staging tiles: every
+				// one spills, paying the DRAM write its residency
+				// discounted, and eviction frees the whole budget. An
+				// output evicted before any reader ran was never resident.
+				for _, p := range live {
+					c := &spans[p].cost
+					c.actW, c.writesPI = baseline[p].actW, baseline[p].writesPI
+					c.outRes = first[p] < i
 				}
-				heldBytes = 0
-				avail = opt.L2Bytes
-				if avail < r.L2ReqBytes() {
-					// The budget cannot even hold the staging tiles; the
-					// layer still needs them to run.
-					avail = r.L2ReqBytes()
-				}
+				live, held = live[:0], 0
+				// A budget that cannot even hold the staging tiles still
+				// stages them: the layer needs them to run.
+				avail = max(l2, req)
 			}
-			r = r.WithL2(avail)
+			*mp = newMapping(mp.r.WithL2(avail), mp.df)
 		}
 
-		plan := LayerPlan{
-			Inst: li, Dataflow: df, Result: r,
-			HeldBytes:  heldBytes,
-			DRAMReads:  r.DRAMReads,
-			DRAMWrites: r.DRAMWrites,
+		reads, writes := mp.r.DRAMTensorReads, mp.r.DRAMWrites
+		var skipped int64
+		for _, p := range skips[i] {
+			skipped += g.geo[p].outElems
 		}
-		inBytes := scaled(layer, tensor.Input, cfg)
-		outBytes := scaled(layer, tensor.Output, cfg)
+		b := groupCost{
+			feasible: true,
+			actR:     reads[tensor.Input] + reads[tensor.Output] + skipped,
+			wR:       reads[tensor.Weight],
+			actW:     writes,
+		}
+		b.readsPI, b.writesPI = b.actR+b.wR, b.actW
+		baseline[i] = b
 
-		// Input residency: the previous layer's output feeds this layer
-		// from L2 when it was kept (its bytes are already reserved in
-		// residentBytes) and the staging tiles still fit beside it. A
-		// crowded layer (fits == false) evicted everything above, so its
-		// input always re-fetches.
-		if _, ok := live[i-1]; ok && fits {
-			plan.InputResident = true
-			saved := min64(plan.DRAMReads, inBytes/int64(cfg.ElemBytes))
-			plan.DRAMReads -= saved
-			sched.DRAMSaved += saved
-		}
-		// Output residency: keep this output for the next layer when it
-		// fits beside the staging tiles and everything still live.
-		if opt.L2Bytes > 0 && outBytes <= avail-r.L2ReqBytes() {
-			plan.OutputResident = true
-			saved := min64(plan.DRAMWrites, outBytes/int64(cfg.ElemBytes))
-			plan.DRAMWrites -= saved
-			sched.DRAMSaved += saved
-			// The kept output serves the next layer, and any residual
-			// consumers beyond it; one entry covers all of them. A
-			// source that cannot stay resident costs a DRAM write now
-			// and a read at each consumer (the default accounting).
-			until := i + 1
-			if lu, ok := liveUntil[i]; ok && lu > until {
-				until = lu
+		c := b
+		c.retained = held
+		for _, p := range skips[i] {
+			if slices.Contains(live, p) {
+				c.actR -= g.geo[p].outElems
 			}
-			live[i] = resident{bytes: outBytes, until: until, savedW: saved}
 		}
-
-		n := int64(li.Count)
-		sched.Plans = append(sched.Plans, plan)
-		sched.TotalCycles += r.OnChipRuntime * n
-		sched.DRAMTraffic += (plan.DRAMReads + plan.DRAMWrites) * n
-		// Price the layer with its DRAM term replaced by the
-		// residency-adjusted traffic.
-		eb := r.EnergyDefault()
-		perInst := eb.OnChip() + float64(plan.DRAMReads+plan.DRAMWrites)*energy.DRAMPJ
-		sched.EnergyPJ += perInst * float64(n)
+		if ins := g.Ins[i]; len(ins) > 0 && !slices.ContainsFunc(ins, func(p int) bool { return !slices.Contains(live, p) }) {
+			c.inRes = true
+			c.actR -= min(reads[tensor.Input], scaledElems(g.Model.Layers[i].Layer, tensor.Input))
+		}
+		if l2 > 0 && last[i] >= 0 && g.geo[i].outElems*f.eb <= avail-req {
+			c.outRes = true
+			c.actW -= min(writes, g.geo[i].outElems)
+			live = append(live, i)
+		}
+		c.readsPI, c.writesPI = c.actR+c.wR, c.actW
+		spans[i] = groupSpan{lo: i, hi: i, cost: c}
 	}
-	// The DRAM link bounds the end-to-end runtime too.
-	dramDelay := int64(float64(sched.DRAMTraffic)/cfg.OffchipBandwidth + 0.999999)
-	if dramDelay > sched.TotalCycles {
-		sched.TotalCycles = dramDelay
-	}
-	return sched, nil
+	return spans, baseline
 }
 
 // choose maps one layer of a schedule: the Dataflow callback's pick
@@ -233,20 +201,4 @@ func validateEdges(m models.Model, edges []Edge) error {
 		}
 	}
 	return nil
-}
-
-// scaled returns tensor k's size in bytes, density-scaled.
-func scaled(layer tensor.Layer, k tensor.Kind, cfg hw.Config) int64 {
-	d := layer.Density[k]
-	if d == 0 {
-		d = 1
-	}
-	return int64(float64(layer.TensorSize(k))*d+0.5) * int64(cfg.ElemBytes)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package netsched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -59,7 +60,7 @@ func TestResidencySavesDRAM(t *testing.T) {
 		t.Errorf("residency did not cut energy: %v vs %v", withRes.EnergyPJ, noRes.EnergyPJ)
 	}
 	// Middle layers should see both input and output resident.
-	mid := withRes.Plans[1]
+	mid := withRes.Groups[1]
 	if !mid.InputResident || !mid.OutputResident {
 		t.Errorf("middle layer residency: in=%v out=%v", mid.InputResident, mid.OutputResident)
 	}
@@ -72,9 +73,9 @@ func TestTinyL2DisablesResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range s.Plans {
-		if p.InputResident || p.OutputResident {
-			t.Errorf("layer %s resident despite 4 KB L2", p.Inst.Layer.Name)
+	for _, gp := range s.Groups {
+		if gp.InputResident || gp.OutputResident {
+			t.Errorf("layer %s resident despite 4 KB L2", gp.Members[0].Inst.Layer.Name)
 		}
 	}
 }
@@ -91,11 +92,11 @@ func TestResidualPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Layers 1 and 2 run with the residual pinned.
-	if s.Plans[1].HeldBytes == 0 || s.Plans[2].HeldBytes == 0 {
-		t.Errorf("residual not pinned: held=%d,%d", s.Plans[1].HeldBytes, s.Plans[2].HeldBytes)
+	if s.Groups[1].RetainedBytes == 0 || s.Groups[2].RetainedBytes == 0 {
+		t.Errorf("residual not pinned: held=%d,%d", s.Groups[1].RetainedBytes, s.Groups[2].RetainedBytes)
 	}
-	if s.Plans[3].HeldBytes != 0 {
-		t.Errorf("residual still pinned at its consumer: %d", s.Plans[3].HeldBytes)
+	if s.Groups[3].RetainedBytes != 0 {
+		t.Errorf("residual still pinned at its consumer: %d", s.Groups[3].RetainedBytes)
 	}
 	// Pinning shrinks retention capacity: DRAM traffic must not drop
 	// below the unpinned schedule's.
@@ -134,9 +135,9 @@ func TestCrowdedL2DeniesResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqA := probe.Plans[0].Result.L2ReqBytes()
-	reqB := probe.Plans[1].Result.L2ReqBytes()
-	outA := scaled(m.Layers[0].Layer, tensor.Output, cfg)
+	reqA := probe.Groups[0].Members[0].Result.L2ReqBytes()
+	reqB := probe.Groups[1].Members[0].Result.L2ReqBytes()
+	outA := scaledElems(m.Layers[0].Layer, tensor.Output) * int64(cfg.ElemBytes)
 	if reqA+outA >= reqB {
 		t.Fatalf("test construction broken: need reqA+outA < reqB, got reqA=%d outA=%d reqB=%d", reqA, outA, reqB)
 	}
@@ -144,12 +145,12 @@ func TestCrowdedL2DeniesResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := s.Plans[0], s.Plans[1]
+	a, b := s.Groups[0], s.Groups[1]
 	if b.InputResident {
 		t.Error("crowded layer granted input residency; its input must re-fetch from DRAM")
 	}
-	if b.DRAMReads != b.Result.DRAMReads {
-		t.Errorf("crowded layer's DRAM reads discounted: plan %d vs result %d", b.DRAMReads, b.Result.DRAMReads)
+	if r := b.Members[0].Result; b.DRAMReads != r.DRAMReads {
+		t.Errorf("crowded layer's DRAM reads discounted: plan %d vs result %d", b.DRAMReads, r.DRAMReads)
 	}
 	if a.OutputResident {
 		t.Error("evicted output still marked resident")
@@ -175,7 +176,7 @@ func TestPartialDataflowFallsBackToTuner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partially annotated network failed to schedule: %v", err)
 	}
-	if len(s.Plans[1].Dataflow.Directives) == 0 {
+	if len(s.Groups[1].Members[0].Dataflow.Directives) == 0 {
 		t.Error("unannotated layer got no tuned dataflow")
 	}
 }
@@ -204,5 +205,96 @@ func TestTunedSchedule(t *testing.T) {
 	if tuned.TotalCycles > fixed.TotalCycles {
 		t.Errorf("tuned schedule (%d) slower than fixed KC-P (%d)",
 			tuned.TotalCycles, fixed.TotalCycles)
+	}
+}
+
+// TestScheduleInvariants holds both schedulers to the accounting every
+// schedule promises, on chain() and every zoo model under KC-P at
+// 256 KiB, 1 MiB and 4 MiB: DRAMSaved is BaselineDRAM - DRAMTraffic,
+// and every group's claims split by tensor (ActReads + WeightReads =
+// DRAMReads, ActWrites = DRAMWrites). Run's residency must follow the
+// graph: every producer of an input-resident layer kept its output
+// resident, and an output-resident layer has a later reader.
+func TestScheduleInvariants(t *testing.T) {
+	ms := []models.Model{chain()}
+	for _, name := range models.Zoo() {
+		m, _ := models.ByName(name)
+		ms = append(ms, m)
+	}
+	cfg := hw.Accel256()
+	for _, m := range ms {
+		g, err := BuildGraph(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l2 := range []int64{256 << 10, 1 << 20, 4 << 20} {
+			opt := Options{Dataflow: fixedKCP, L2Bytes: l2}
+			run, err := Run(m, cfg, opt)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", m.Name, l2, err)
+			}
+			fused, err := RunFused(m, cfg, FuseOptions{Options: opt})
+			if err != nil {
+				t.Fatalf("%s/%d: %v", m.Name, l2, err)
+			}
+			for _, s := range []*FusedSchedule{run, fused} {
+				at := fmt.Sprintf("%s/%d fused=%v", m.Name, l2, s == fused)
+				if s.DRAMSaved != s.BaselineDRAM-s.DRAMTraffic {
+					t.Errorf("%s: DRAMSaved %d, baseline %d - traffic %d = %d",
+						at, s.DRAMSaved, s.BaselineDRAM, s.DRAMTraffic, s.BaselineDRAM-s.DRAMTraffic)
+				}
+				for _, gp := range s.Groups {
+					if gp.ActReads+gp.WeightReads != gp.DRAMReads || gp.ActWrites != gp.DRAMWrites {
+						t.Errorf("%s: group [%d,%d] reads %d+%d of %d, writes %d of %d", at, gp.Lo, gp.Hi,
+							gp.ActReads, gp.WeightReads, gp.DRAMReads, gp.ActWrites, gp.DRAMWrites)
+					}
+				}
+			}
+			for i, gp := range run.Groups {
+				name := m.Layers[i].Layer.Name
+				if gp.InputResident && len(g.Ins[i]) == 0 {
+					t.Errorf("%s/%d: %s reads the model input, yet is input-resident", m.Name, l2, name)
+				}
+				for _, p := range g.Ins[i] {
+					if gp.InputResident && !run.Groups[p].OutputResident {
+						t.Errorf("%s/%d: %s is input-resident, but its producer %s kept no output",
+							m.Name, l2, name, m.Layers[p].Layer.Name)
+					}
+				}
+				if gp.OutputResident && len(g.Outs[i]) == 0 {
+					t.Errorf("%s/%d: %s kept its output resident, but nothing later reads it", m.Name, l2, name)
+				}
+			}
+		}
+	}
+}
+
+// TestResidualRefetch: a residual source that is not resident when its
+// reader runs is read from DRAM again. Nothing stays resident at L2 0 or
+// at 4 KiB, so declaring the skip edge adds exactly the source's output
+// elements to the reader's activation reads, and to the baseline, so
+// nothing counts as saved.
+func TestResidualRefetch(t *testing.T) {
+	m := chain()
+	cfg := hw.Accel256()
+	src := scaledElems(m.Layers[0].Layer, tensor.Output)
+	for _, l2 := range []int64{0, 4 << 10} {
+		free, err := Run(m, cfg, Options{Dataflow: fixedKCP, L2Bytes: l2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skip, err := Run(m, cfg, Options{Dataflow: fixedKCP, L2Bytes: l2, Residuals: []Edge{{From: 0, To: 3}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := skip.DRAMTraffic - free.DRAMTraffic; d != src {
+			t.Errorf("L2 %d: the skip edge added %d DRAM elements, want the source's %d", l2, d, src)
+		}
+		if d := skip.Groups[3].ActReads - free.Groups[3].ActReads; d != src {
+			t.Errorf("L2 %d: the reader's activation reads rose by %d, want %d", l2, d, src)
+		}
+		if skip.DRAMSaved != 0 {
+			t.Errorf("L2 %d: %d elements saved with nothing resident", l2, skip.DRAMSaved)
+		}
 	}
 }

@@ -82,8 +82,11 @@ func replayScale(n int64, d float64) int64 {
 }
 
 // ReplayFused replays every group of the schedule and returns the
-// measured traffic. The replay recomputes band geometry from the model
-// graph independently of the scheduler's cost model.
+// measured traffic: fused groups band by band, recomputing the band
+// geometry from the model graph independently of the scheduler's cost
+// model, and plain singletons through the per-layer engine at the
+// schedule's budget. It does not replay Run's residency: a Run
+// schedule's residency-adjusted claims are outside Verify's contract.
 func ReplayFused(s *netsched.FusedSchedule) (*FusedReplay, error) {
 	g, err := netsched.BuildGraph(s.Model)
 	if err != nil {

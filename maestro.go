@@ -341,17 +341,14 @@ var TuneLayer = tuner.TuneLayer
 // Whole-network scheduling with inter-layer L2 residency and residual
 // pinning (the Table 4 inter-layer effects).
 type (
-	// NetSchedule is an end-to-end network plan.
-	NetSchedule = netsched.Schedule
 	// NetOptions configures network scheduling.
 	NetOptions = netsched.Options
 	// ResidualEdge is a skip connection between layer indices.
 	ResidualEdge = netsched.Edge
-	// LayerPlan is one scheduled layer of a network plan.
-	LayerPlan = netsched.LayerPlan
 )
 
-// ScheduleNetwork plans a model's layers on one accelerator.
+// ScheduleNetwork plans a model's layers on one accelerator, one
+// singleton FusionGroup per layer with its residency flags.
 var ScheduleNetwork = netsched.Run
 
 // Graph-level fusion scheduling: the network DAG partitioned into
@@ -359,11 +356,13 @@ var ScheduleNetwork = netsched.Run
 // step-accurately by the simulator's band-by-band replay (see
 // docs/NETSCHED.md).
 type (
-	// FusedNetSchedule is a graph-level fused network plan.
+	// FusedNetSchedule is a network plan: ScheduleNetworkFused's fusion
+	// subgraphs, or ScheduleNetwork's one group per layer.
 	FusedNetSchedule = netsched.FusedSchedule
 	// FuseNetOptions configures graph-level fusion scheduling.
 	FuseNetOptions = netsched.FuseOptions
-	// FusionGroup is one fusion subgraph of a fused plan.
+	// FusionGroup is one group of a network plan: a fusion subgraph, or
+	// a single layer with its residency flags.
 	FusionGroup = netsched.GroupPlan
 	// FusedNetReplay is the simulator's replay of a fused plan.
 	FusedNetReplay = sim.FusedReplay
