@@ -84,11 +84,12 @@ bench-fleet:
 # Crash-recovery soak: kill the coordinator mid-sweep and resume from
 # the journal, SOAK_N times in a row under the race detector. Any
 # nondeterminism in replay or journal truncation shows up here. The
-# -run prefix matches the DSE and the fusion crash-resume tests, so it
-# soaks both sweep kinds on the one shard runner.
+# -run pattern matches the DSE and the fusion crash-resume tests, so it
+# soaks both sweep kinds on the one shard runner, and the node
+# kill-and-readmit test, so breaker re-admission soaks beside them.
 SOAK_N ?= 10
 soak-fleet:
-	$(GO) test -race -run 'TestChaosCoordinatorCrashResume' -count $(SOAK_N) -timeout 10m ./internal/fleet/
+	$(GO) test -race -run 'TestChaosCoordinatorCrashResume|TestChaosNodeKillFailoverAndReadmit' -count $(SOAK_N) -timeout 10m ./internal/fleet/
 
 serve:
 	$(GO) run ./cmd/maestro-serve

@@ -143,8 +143,10 @@ func main() {
 
 	logger.Info("shutting down: draining connections and queued work", "max", *drain)
 	// Flip readiness first: /healthz answers 503 from here on, so load
-	// balancers and fleet probers stop routing new work while the
-	// listener finishes in-flight requests below.
+	// balancers stop routing new work while the listener finishes
+	// in-flight requests below. Shutdown closes the listener at once, so
+	// a fleet coordinator's next dial is refused and trips this node's
+	// breaker in its client.
 	s.BeginDrain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

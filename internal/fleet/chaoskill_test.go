@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/dse"
 	"repro/internal/serve"
+	"repro/internal/serve/client"
 )
 
 // This file is the fleet-level chaos harness the durability tentpole is
@@ -120,13 +121,6 @@ func (c *chaosCluster) kill(host string) {
 // restart brings a previously-killed node back with a cold cache.
 func (c *chaosCluster) restart(host string) { c.start(host) }
 
-// server returns a live node's serve.Server (nil when killed).
-func (c *chaosCluster) server(host string) *serve.Server {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.servers[host]
-}
-
 // setChaosAll applies a serve-side fault spec to every live node.
 func (c *chaosCluster) setChaosAll(spec serve.Chaos) {
 	c.mu.Lock()
@@ -143,19 +137,6 @@ func hostName(t *testing.T, host string) string {
 		t.Fatal(err)
 	}
 	return u.Host
-}
-
-// waitHealth polls the fleet's probed view until host reaches want.
-func waitHealth(t *testing.T, f *Fleet, host string, want Health) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.Health()[host] == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("node %s never reached %v (now %v)", host, want, f.Health()[host])
 }
 
 // checkpointOpts is fastFleet plus a checkpoint dir.
@@ -330,24 +311,23 @@ func TestChaosCoordinatorCrashResumeFusion(t *testing.T) {
 }
 
 // TestChaosNodeKillFailoverAndReadmit is the membership half of the
-// tentpole: a node killed mid-sweep is marked dead by the prober, its
-// shards fail over without corrupting the merged front, and after a
-// restart the node is re-admitted by consecutive successful probes.
+// chaos harness, with the client breaker as the fleet's one node-health
+// signal: a node killed mid-sweep trips its breaker, its shards fail
+// over without corrupting the merged front, and after a restart and the
+// breaker's cooldown the next sweep's half-open trial re-admits it.
 func TestChaosNodeKillFailoverAndReadmit(t *testing.T) {
 	cluster := newChaosCluster(t, 4, serve.Options{Workers: 1})
 	req := fleetReq()
 	wantFront, _ := truth(t, req)
 
+	const cooldown = 50 * time.Millisecond
 	opts := fastFleet(cluster.hosts, cluster.hc)
-	opts.Probe = ProbeOptions{Interval: 5 * time.Millisecond, Timeout: 250 * time.Millisecond, FailAfter: 2, UpAfter: 2}
+	opts.Client.Breaker.Cooldown = cooldown
 	f, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for _, h := range cluster.hosts {
-		waitHealth(t, f, h, HealthUp)
-	}
 
 	// Kill the node that owns the most shards once its first result has
 	// merged; its remaining shards must fail over.
@@ -379,23 +359,25 @@ func TestChaosNodeKillFailoverAndReadmit(t *testing.T) {
 	if !reflect.DeepEqual(res.Pareto, wantFront) {
 		t.Fatal("post-kill front diverged from truth")
 	}
-	waitHealth(t, f, victim, HealthDead)
-	if f.routable(victim) {
-		t.Fatal("dead node still routable")
+	if st := f.Stats().PerNode[victim].Breaker; st != client.BreakerOpen {
+		t.Fatalf("killed node's breaker = %v, want open", st)
 	}
 
-	// Restart: consecutive successful probes re-admit the node, and the
-	// next sweep can use the whole fleet again.
+	// Restart and wait out the cooldown: the next sweep's half-open
+	// trial re-admits the node, and it serves shards again.
 	cluster.restart(victim)
-	waitHealth(t, f, victim, HealthUp)
-	if !f.routable(victim) {
-		t.Fatal("re-admitted node not routable")
-	}
+	time.Sleep(2 * cooldown)
+	before := f.Stats().PerNode[victim].Shards
 	res2, err := f.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res2.Pareto, wantFront) {
 		t.Fatal("post-readmit front diverged from truth")
+	}
+	ns := f.Stats().PerNode[victim]
+	if ns.Shards <= before || ns.Breaker != client.BreakerClosed {
+		t.Fatalf("restarted node served %d shards, breaker %v; want more than %d and closed",
+			ns.Shards, ns.Breaker, before)
 	}
 }

@@ -135,30 +135,15 @@ func (f *Fleet) FederateMetrics(ctx context.Context) (*Federation, error) {
 	fed := &Federation{Up: make(map[string]bool, len(hosts))}
 	var b strings.Builder
 
-	// Liveness first: one series per node, in sorted host order. With
-	// the active prober running, up reflects probe truth (a node is up
-	// only when its last readiness probe said so) rather than whether
-	// this one scrape happened to succeed; without a prober the scrape
-	// outcome is the best signal available, as before.
-	health := f.Health()
-	fmt.Fprintf(&b, "# HELP maestro_fleet_up Whether the node is routable: probe truth when the prober runs, else last-scrape success.\n# TYPE maestro_fleet_up gauge\n")
+	// Liveness first: one series per node, in sorted host order.
+	fmt.Fprintf(&b, "# HELP maestro_fleet_up Whether the node answered this scrape.\n# TYPE maestro_fleet_up gauge\n")
 	for _, sc := range scrapes {
-		isUp := sc.err == nil
-		if f.prober != nil {
-			isUp = health[sc.host] == HealthUp
-		}
 		up := 0
-		if isUp {
+		if sc.err == nil {
 			up = 1
 		}
-		fed.Up[sc.host] = isUp
+		fed.Up[sc.host] = sc.err == nil
 		fmt.Fprintf(&b, "maestro_fleet_up{node=%q} %d\n", sc.node, up)
-	}
-	if f.prober != nil {
-		fmt.Fprintf(&b, "# HELP maestro_fleet_node_health Probed node state: 0 unknown, 1 up, 2 draining, 3 dead.\n# TYPE maestro_fleet_node_health gauge\n")
-		for _, sc := range scrapes {
-			fmt.Fprintf(&b, "maestro_fleet_node_health{node=%q} %d\n", sc.node, int(health[sc.host]))
-		}
 	}
 
 	// Per-node re-export plus cross-node aggregates, grouped by family

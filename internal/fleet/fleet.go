@@ -68,9 +68,6 @@ type Options struct {
 	// interrupted run are restored from disk and only the remainder is
 	// dispatched. Without Resume a pre-existing journal is discarded.
 	Resume bool
-	// Probe configures the active health prober; the zero value
-	// disables it and dispatch relies on circuit breakers alone.
-	Probe ProbeOptions
 }
 
 func (o Options) withDefaults() Options {
@@ -180,7 +177,6 @@ type Fleet struct {
 	opts    Options
 	ring    *ring
 	clients map[string]*client.Client
-	prober  *prober // nil when probing is disabled
 
 	mu      sync.Mutex
 	stats   Stats // the fleet-wide counters; Stats fills PerNode from perNode
@@ -212,9 +208,6 @@ func New(opts Options) (*Fleet, error) {
 		f.perNode[h] = &NodeStats{}
 	}
 	f.ring = newRing(opts.Hosts)
-	if opts.Probe.Interval > 0 {
-		f.prober = startProber(f, opts.Probe)
-	}
 	return f, nil
 }
 
@@ -255,12 +248,8 @@ func validateHosts(hosts []string) error {
 	return nil
 }
 
-// Close stops the health prober and releases the per-node clients' idle
-// connections.
+// Close releases the per-node clients' idle connections.
 func (f *Fleet) Close() {
-	if f.prober != nil {
-		f.prober.Close()
-	}
 	for _, c := range f.clients {
 		c.CloseIdleConnections()
 	}
@@ -656,11 +645,10 @@ func refused(err error) bool {
 }
 
 // nextHost advances the shard's route cursor, preferring hosts whose
-// breaker is not open and that the health prober considers routable;
-// when every host is open or unhealthy it returns the cursor host
-// anyway (the fast-fail keeps the attempt budget moving, probes
-// half-open breakers, and lets a just-recovered node prove itself
-// before the prober notices). wrapped reports that the cursor passed
+// breaker is not open. A breaker whose cooldown has elapsed reads
+// half-open, so a recovered node gets its trial call here. When every
+// host is open it returns the cursor host anyway (the fast-fail keeps
+// the attempt budget moving). wrapped reports that the cursor passed
 // the route start, i.e. a full failover cycle elapsed.
 func (sr *shardRun) nextHost(f *Fleet) (host string, wrapped bool) {
 	sr.mu.Lock()
@@ -668,7 +656,7 @@ func (sr *shardRun) nextHost(f *Fleet) (host string, wrapped bool) {
 	n := len(sr.route)
 	for i := 0; i < n; i++ {
 		h := sr.route[(sr.cursor+i)%n]
-		if f.clients[h].BreakerState() != client.BreakerOpen && f.routable(h) {
+		if f.clients[h].BreakerState() != client.BreakerOpen {
 			wrapped = (sr.cursor+i)%n == 0
 			sr.cursor = (sr.cursor + i + 1) % n
 			return h, wrapped
@@ -837,8 +825,8 @@ func (sw *sweep) watchdog() {
 
 // stragglerTarget decides whether sr's sole running attempt is overdue
 // and picks the node to steal it onto: the next host on sr's failover
-// route that is healthy, not already running this shard, and has a free
-// slot. Each shard is stolen at most once.
+// route whose breaker is not open, not already running this shard, and
+// has a free slot. Each shard is stolen at most once.
 func (sw *sweep) stragglerTarget(sr *shardRun, now time.Time, cut time.Duration) (string, bool) {
 	sw.mu.Lock()
 	done := sr.done
@@ -864,13 +852,7 @@ func (sw *sweep) stragglerTarget(sr *shardRun, now time.Time, cut time.Duration)
 		if h == busy {
 			continue
 		}
-		if sw.f.clients[h].BreakerState() == client.BreakerOpen {
-			continue
-		}
-		if !sw.f.routable(h) {
-			continue
-		}
-		if sw.sem.full(h) {
+		if sw.f.clients[h].BreakerState() == client.BreakerOpen || sw.sem.full(h) {
 			continue
 		}
 		sr.stole = true

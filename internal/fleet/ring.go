@@ -11,8 +11,10 @@
 // lands each shard on the node that already holds its profiles. Node
 // loss is survived by walking the ring: shards stranded behind a
 // tripped circuit breaker re-dispatch to the next healthy node, with
-// at-most-once result accounting, and a straggler watchdog steals the
-// slowest shard onto an idle node when one server falls far behind.
+// at-most-once result accounting, and once the breaker's cooldown
+// elapses one trial shard re-admits a recovered node. A straggler
+// watchdog steals the slowest shard onto an idle node when one server
+// falls far behind.
 package fleet
 
 import (

@@ -20,7 +20,7 @@ const (
 	BreakerClosed BreakerState = iota
 	// BreakerOpen fails calls fast until the cooldown elapses.
 	BreakerOpen
-	// BreakerHalfOpen admits one probe call; its outcome decides
+	// BreakerHalfOpen admits one trial call; its outcome decides
 	// between closing and re-opening.
 	BreakerHalfOpen
 )
@@ -37,19 +37,14 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerOptions configures the per-host circuit breaker.
+// BreakerOptions configures the client's circuit breaker.
 type BreakerOptions struct {
-	// Disabled turns the breaker off entirely.
-	Disabled bool
 	// FailureThreshold is the consecutive-failure count that opens the
 	// breaker (default 5).
 	FailureThreshold int
 	// Cooldown is how long an open breaker rejects calls before
-	// admitting a half-open probe (default 1s).
+	// admitting a half-open trial call (default 1s).
 	Cooldown time.Duration
-	// SuccessThreshold is the consecutive half-open probe successes
-	// required to close again (default 1).
-	SuccessThreshold int
 	// OnStateChange observes transitions (for logs, metrics, and the
 	// chaos harness). Called outside the breaker lock, in call order.
 	OnStateChange func(host string, from, to BreakerState)
@@ -62,24 +57,20 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	if o.Cooldown == 0 {
 		o.Cooldown = time.Second
 	}
-	if o.SuccessThreshold == 0 {
-		o.SuccessThreshold = 1
-	}
 	return o
 }
 
-// breaker is one host's circuit breaker. The zero value is not usable;
-// build with newBreaker.
+// breaker is the client's circuit breaker. The zero value is not
+// usable; build with newBreaker.
 type breaker struct {
 	opts BreakerOptions
 	host string
 
-	mu        sync.Mutex
-	state     BreakerState
-	fails     int       // consecutive failures while closed
-	successes int       // consecutive probe successes while half-open
-	openedAt  time.Time // when the breaker last opened
-	probing   bool      // a half-open probe is in flight
+	mu       sync.Mutex
+	state    BreakerState
+	fails    int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last opened
+	probing  bool      // a half-open trial call is in flight
 }
 
 func newBreaker(host string, opts BreakerOptions) *breaker {
@@ -95,17 +86,12 @@ func (b *breaker) transitionLocked(next BreakerState) func() {
 		return nil
 	}
 	b.state = next
+	b.probing = false
 	switch next {
 	case BreakerOpen:
 		b.openedAt = time.Now()
-		b.probing = false
-	case BreakerHalfOpen:
-		b.successes = 0
-		b.probing = false
 	case BreakerClosed:
 		b.fails = 0
-		b.successes = 0
-		b.probing = false
 	}
 	if cb := b.opts.OnStateChange; cb != nil {
 		host := b.host
@@ -114,62 +100,45 @@ func (b *breaker) transitionLocked(next BreakerState) func() {
 	return nil
 }
 
+// cooledLocked reports whether the breaker is open and its cooldown has
+// elapsed, so the next call may run as a half-open trial.
+func (b *breaker) cooledLocked() bool {
+	return b.state == BreakerOpen && time.Since(b.openedAt) >= b.opts.Cooldown
+}
+
 // Allow reports whether a call may proceed. In the half-open state only
-// one probe is admitted at a time; concurrent calls fail fast until the
-// probe resolves.
+// one trial call is admitted at a time; concurrent calls fail fast until
+// the trial resolves.
 func (b *breaker) Allow() bool {
-	if b.opts.Disabled {
-		return true
-	}
 	var notify func()
 	b.mu.Lock()
-	switch b.state {
-	case BreakerClosed:
-		b.mu.Unlock()
-		return true
-	case BreakerOpen:
-		if time.Since(b.openedAt) < b.opts.Cooldown {
-			b.mu.Unlock()
-			return false
-		}
+	if b.cooledLocked() {
 		notify = b.transitionLocked(BreakerHalfOpen)
-		fallthrough
-	case BreakerHalfOpen:
-		if b.probing {
-			b.mu.Unlock()
-			if notify != nil {
-				notify()
-			}
-			return false
-		}
-		b.probing = true
-		b.mu.Unlock()
-		if notify != nil {
-			notify()
-		}
-		return true
+	}
+	ok := false
+	switch {
+	case b.state == BreakerClosed:
+		ok = true
+	case b.state == BreakerHalfOpen && !b.probing:
+		b.probing, ok = true, true
 	}
 	b.mu.Unlock()
-	return true
+	if notify != nil {
+		notify()
+	}
+	return ok
 }
 
 // Success records a call that reached the server and got a healthy
-// answer.
+// answer; a successful half-open trial closes the breaker.
 func (b *breaker) Success() {
-	if b.opts.Disabled {
-		return
-	}
 	var notify func()
 	b.mu.Lock()
 	switch b.state {
 	case BreakerClosed:
 		b.fails = 0
 	case BreakerHalfOpen:
-		b.probing = false
-		b.successes++
-		if b.successes >= b.opts.SuccessThreshold {
-			notify = b.transitionLocked(BreakerClosed)
-		}
+		notify = b.transitionLocked(BreakerClosed)
 	}
 	b.mu.Unlock()
 	if notify != nil {
@@ -179,9 +148,6 @@ func (b *breaker) Success() {
 
 // Failure records a server-fault outcome (5xx or transport error).
 func (b *breaker) Failure() {
-	if b.opts.Disabled {
-		return
-	}
 	var notify func()
 	b.mu.Lock()
 	switch b.state {
@@ -191,7 +157,6 @@ func (b *breaker) Failure() {
 			notify = b.transitionLocked(BreakerOpen)
 		}
 	case BreakerHalfOpen:
-		b.probing = false
 		notify = b.transitionLocked(BreakerOpen)
 	}
 	b.mu.Unlock()
@@ -200,10 +165,15 @@ func (b *breaker) Failure() {
 	}
 }
 
-// State returns the current position (transparently rolling an expired
-// open period over to half-open is left to Allow).
+// State returns the current position. An open breaker whose cooldown
+// has elapsed reads half-open: its next call is admitted as a trial, so
+// a caller routing on State tries the host again. Allow makes the
+// transition itself.
 func (b *breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.cooledLocked() {
+		return BreakerHalfOpen
+	}
 	return b.state
 }

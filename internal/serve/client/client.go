@@ -1,9 +1,9 @@
 // Package client is the resilient HTTP client for the maestro-serve
 // analysis service: stdlib-only, with jittered exponential retry that
-// honors Retry-After hints, a per-host circuit breaker, optional
-// request hedging for idempotent analyze calls, and context-deadline
-// propagation into the service's timeout_ms field so server-side
-// queue-deadline shedding sees the real budget.
+// honors Retry-After hints, a circuit breaker that fails fast against a
+// failing node and re-admits it with one trial call per cooldown, and
+// context-deadline propagation into the service's timeout_ms field so
+// server-side queue-deadline shedding sees the real budget.
 //
 // Mapper and DSE loops hammer the cost-model service with thousands of
 // speculative queries; this client is the discipline layer between
@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -89,16 +88,12 @@ type Options struct {
 	MaxBackoff time.Duration
 	// Seed makes the jitter sequence reproducible; 0 seeds randomly.
 	Seed int64
-	// Hedge, when positive, launches a second identical attempt for
-	// idempotent analyze calls after this delay; the first completed
-	// exchange wins and the straggler is cancelled. Off by default —
-	// hedging trades extra load for tail latency.
-	Hedge time.Duration
-	// Breaker configures the per-host circuit breaker.
+	// Breaker configures the client's circuit breaker.
 	Breaker BreakerOptions
-	// UserAgent overrides the User-Agent header.
-	UserAgent string
 }
+
+// userAgent is the User-Agent header every exchange sends.
+const userAgent = "maestro-client/1"
 
 func (o Options) withDefaults() Options {
 	if o.HTTPClient == nil {
@@ -107,28 +102,18 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 4
 	}
-	if o.UserAgent == "" {
-		o.UserAgent = "maestro-client/1"
-	}
 	return o
 }
 
 // Stats counts client-side resilience events; read them with Stats().
 type Stats struct {
-	// Attempts is the number of HTTP exchanges actually launched
-	// (hedges included).
+	// Attempts is the number of HTTP exchanges actually launched.
 	Attempts int64
 	// Retries is the number of re-attempts after a retryable failure.
 	Retries int64
-	// Hedges is the number of hedged second attempts launched.
-	Hedges int64
 	// BreakerRejected is the number of attempts refused locally by an
 	// open circuit breaker.
 	BreakerRejected int64
-	// Breakers is the per-host circuit-breaker position at snapshot
-	// time. Coordinators use it (with the ErrCircuitOpen sentinel) to
-	// tell a dead node from transient errors without string-matching.
-	Breakers map[string]BreakerState
 }
 
 // Client is a resilient caller of the analysis service. Safe for
@@ -138,13 +123,10 @@ type Client struct {
 	base *url.URL
 	http *http.Client
 	bo   *backoff
-
-	mu       sync.Mutex
-	breakers map[string]*breaker
+	br   *breaker
 
 	attempts        atomic.Int64
 	retries         atomic.Int64
-	hedges          atomic.Int64
 	breakerRejected atomic.Int64
 }
 
@@ -162,70 +144,44 @@ func New(opts Options) (*Client, error) {
 	}
 	opts = opts.withDefaults()
 	return &Client{
-		opts:     opts,
-		base:     u,
-		http:     opts.HTTPClient,
-		bo:       newBackoff(opts.BaseBackoff, opts.MaxBackoff, opts.Seed),
-		breakers: map[string]*breaker{},
+		opts: opts,
+		base: u,
+		http: opts.HTTPClient,
+		bo:   newBackoff(opts.BaseBackoff, opts.MaxBackoff, opts.Seed),
+		br:   newBreaker(u.Host, opts.Breaker),
 	}, nil
 }
 
-// Stats returns a snapshot of the resilience counters and the per-host
-// breaker positions.
+// Stats returns a snapshot of the resilience counters.
 func (c *Client) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Attempts:        c.attempts.Load(),
 		Retries:         c.retries.Load(),
-		Hedges:          c.hedges.Load(),
 		BreakerRejected: c.breakerRejected.Load(),
-		Breakers:        map[string]BreakerState{},
 	}
-	c.mu.Lock()
-	hosts := make([]*breaker, 0, len(c.breakers))
-	for _, b := range c.breakers {
-		hosts = append(hosts, b)
-	}
-	c.mu.Unlock()
-	// Each breaker's state is read under its own lock, outside the
-	// client map lock (State never calls back into the client).
-	for _, b := range hosts {
-		st.Breakers[b.host] = b.State()
-	}
-	return st
 }
 
-// BreakerState reports the circuit breaker position for the client's
-// host (closed when no call has run yet).
-func (c *Client) BreakerState() BreakerState {
-	return c.breakerFor(c.base.Host).State()
-}
+// BreakerState reports the circuit breaker position (closed when no
+// call has run yet). An open breaker whose cooldown has elapsed reads
+// half-open: the next call is admitted as a trial. Coordinators use it,
+// with the ErrCircuitOpen sentinel, to tell a failing node from
+// transient errors without string-matching.
+func (c *Client) BreakerState() BreakerState { return c.br.State() }
 
 // CloseIdleConnections releases the transport's idle keep-alive
 // connections (the soak harness calls it before checking FD baselines).
 func (c *Client) CloseIdleConnections() { c.http.CloseIdleConnections() }
 
-func (c *Client) breakerFor(host string) *breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.breakers[host]
-	if !ok {
-		b = newBreaker(host, c.opts.Breaker)
-		c.breakers[host] = b
-	}
-	return b
-}
-
 // Analyze evaluates one layer + dataflow + hardware configuration.
 // When the request carries no timeout_ms and ctx has a deadline, the
 // remaining budget is propagated so the server's shedding sees it.
-// Analyze calls are idempotent and hedge when Options.Hedge is set.
 func (c *Client) Analyze(ctx context.Context, req serve.AnalyzeRequest) (*serve.AnalyzeResponse, error) {
 	var out serve.AnalyzeResponse
 	err := c.call(ctx, http.MethodPost, "/v1/analyze", func() ([]byte, error) {
 		r := req
 		propagateDeadline(ctx, &r.TimeoutMs)
 		return json.Marshal(&r)
-	}, &out, true)
+	}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +196,7 @@ func (c *Client) AnalyzeBatch(ctx context.Context, req serve.BatchRequest) (*ser
 		r := req
 		propagateDeadline(ctx, &r.TimeoutMs)
 		return json.Marshal(&r)
-	}, &out, false)
+	}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +210,7 @@ func (c *Client) DSE(ctx context.Context, req serve.DSERequest) (*serve.DSERespo
 		r := req
 		propagateDeadline(ctx, &r.TimeoutMs)
 		return json.Marshal(&r)
-	}, &out, false)
+	}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +224,7 @@ func (c *Client) Fusion(ctx context.Context, req serve.FusionRequest) (*serve.Fu
 		r := req
 		propagateDeadline(ctx, &r.TimeoutMs)
 		return json.Marshal(&r)
-	}, &out, false)
+	}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +235,7 @@ func (c *Client) Fusion(ctx context.Context, req serve.FusionRequest) (*serve.Fu
 // presets.
 func (c *Client) Models(ctx context.Context) (*serve.ModelsResponse, error) {
 	var out serve.ModelsResponse
-	err := c.call(ctx, http.MethodGet, "/v1/models", nil, &out, true)
+	err := c.call(ctx, http.MethodGet, "/v1/models", nil, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +247,7 @@ func (c *Client) Models(ctx context.Context) (*serve.ModelsResponse, error) {
 // the capability: only the coordinator that minted it can name it.
 func (c *Client) TraceSegments(ctx context.Context, traceID string) (*serve.SegmentsResponse, error) {
 	var out serve.SegmentsResponse
-	err := c.call(ctx, http.MethodGet, "/debug/trace/segments?trace="+url.QueryEscape(traceID), nil, &out, true)
+	err := c.call(ctx, http.MethodGet, "/debug/trace/segments?trace="+url.QueryEscape(traceID), nil, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -302,32 +258,19 @@ func (c *Client) TraceSegments(ctx context.Context, traceID string) (*serve.Segm
 // raw Prometheus text exposition, for federation by a coordinator.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	var raw []byte
-	if err := c.call(ctx, http.MethodGet, "/metrics", nil, &raw, true); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/metrics", nil, &raw); err != nil {
 		return "", err
 	}
 	return string(raw), nil
 }
 
-// Healthz performs a single readiness probe (GET /healthz) and returns
-// the raw status code. It deliberately bypasses the retry loop, the
-// hedger, and the circuit breaker: a probe is a question about the
-// node's state, and asking it must neither mask an unhealthy answer
-// behind retries nor pollute the breaker that guards real traffic. A
-// non-2xx code is returned with a nil error; the error is non-nil only
-// when no HTTP exchange completed at all.
-func (c *Client) Healthz(ctx context.Context) (int, error) {
-	res, err := c.roundTrip(ctx, http.MethodGet, "/healthz", nil, 0, false)
-	if err != nil {
-		return 0, err
-	}
-	return res.status, nil
-}
-
 // Status performs a single liveness probe (GET /v1/status) and decodes
-// the node's status document. Like Healthz it bypasses retries and the
-// breaker entirely.
+// the node's status document. It deliberately bypasses the retry loop
+// and the circuit breaker: a probe is a question about the node's
+// state, and asking it must neither mask an unhealthy answer behind
+// retries nor pollute the breaker that guards real traffic.
 func (c *Client) Status(ctx context.Context) (*serve.StatusResponse, error) {
-	res, err := c.roundTrip(ctx, http.MethodGet, "/v1/status", nil, 0, false)
+	res, err := c.roundTrip(ctx, http.MethodGet, "/v1/status", nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -390,12 +333,11 @@ type attemptResult struct {
 	requestID string
 }
 
-// call runs the retry loop: breaker gate, exchange (hedged when asked),
-// classification, jittered ctx-aware backoff. Every return is a
-// terminal verdict: a decoded response, an *APIError, a breaker/
-// exhaustion error, or the context's own error.
-func (c *Client) call(ctx context.Context, method, path string, mkBody func() ([]byte, error), out any, idempotent bool) error {
-	br := c.breakerFor(c.base.Host)
+// call runs the retry loop: breaker gate, exchange, classification,
+// jittered ctx-aware backoff. Every return is a terminal verdict: a
+// decoded response, an *APIError, a breaker/exhaustion error, or the
+// context's own error.
+func (c *Client) call(ctx context.Context, method, path string, mkBody func() ([]byte, error), out any) error {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -404,7 +346,7 @@ func (c *Client) call(ctx context.Context, method, path string, mkBody func() ([
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
-		res, err := c.attemptOnce(ctx, br, method, path, mkBody, idempotent, attempt)
+		res, err := c.attemptOnce(ctx, method, path, mkBody, attempt)
 		var hint time.Duration
 		switch {
 		case err == nil && res.status == http.StatusOK:
@@ -456,54 +398,46 @@ func (c *Client) terminal(ctxErr, lastErr error) error {
 	return fmt.Errorf("client: %w", ctxErr)
 }
 
-// attemptOnce runs one breaker-gated exchange (hedged when enabled and
-// idempotent) and records the outcome with the breaker.
-func (c *Client) attemptOnce(ctx context.Context, br *breaker, method, path string, mkBody func() ([]byte, error), idempotent bool, attempt int) (*attemptResult, error) {
-	if !br.Allow() {
+// attemptOnce runs one breaker-gated exchange and records the outcome
+// with the breaker.
+func (c *Client) attemptOnce(ctx context.Context, method, path string, mkBody func() ([]byte, error), attempt int) (*attemptResult, error) {
+	if !c.br.Allow() {
 		c.breakerRejected.Add(1)
-		return nil, fmt.Errorf("%w: host %s", ErrCircuitOpen, br.host)
+		return nil, fmt.Errorf("%w: host %s", ErrCircuitOpen, c.br.host)
 	}
 	var payload []byte
 	if mkBody != nil {
 		var err error
 		payload, err = mkBody()
 		if err != nil {
-			br.Success() // local marshalling says nothing about the server
+			c.br.Success() // local marshalling says nothing about the server
 			return nil, fmt.Errorf("client: encoding %s request: %w", path, err)
 		}
 	}
-	var res *attemptResult
-	var err error
-	if idempotent && c.opts.Hedge > 0 {
-		res, err = c.roundTripHedged(ctx, method, path, payload, attempt)
-	} else {
-		res, err = c.roundTrip(ctx, method, path, payload, attempt, false)
-	}
+	res, err := c.roundTrip(ctx, method, path, payload, attempt)
 	switch {
 	case err != nil:
 		if ctx.Err() == nil {
 			// A transport-level failure with a live context is the
 			// server's (or network's) fault.
-			br.Failure()
+			c.br.Failure()
 		}
 	case res.status >= 500:
-		br.Failure()
+		c.br.Failure()
 	default:
 		// 2xx–4xx means the server is alive and reasoning; 429 in
 		// particular is healthy backpressure, not breaker fodder.
-		br.Success()
+		c.br.Success()
 	}
 	return res, err
 }
 
-// roundTrip runs one exchange and fully consumes the body, so hedged
-// siblings can be cancelled without tearing a body read out from under
-// the winner's caller. Each exchange gets its own client.attempt span —
-// retries and hedges are separate spans tagged with their attempt
-// number and target host — whose ID is what the remote side parents
-// under, and whose start/end bracket the exchange for clock-skew
-// correction during trace assembly.
-func (c *Client) roundTrip(ctx context.Context, method, path string, payload []byte, attempt int, hedged bool) (*attemptResult, error) {
+// roundTrip runs one exchange and fully consumes the body. Each
+// exchange gets its own client.attempt span — retries are separate
+// spans tagged with their attempt number and target host — whose ID is
+// what the remote side parents under, and whose start/end bracket the
+// exchange for clock-skew correction during trace assembly.
+func (c *Client) roundTrip(ctx context.Context, method, path string, payload []byte, attempt int) (*attemptResult, error) {
 	c.attempts.Add(1)
 	u := *c.base
 	p := path
@@ -514,7 +448,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	u.Path = strings.TrimRight(u.Path, "/") + p
 	sctx, span := obs.Start(ctx, "client.attempt",
 		obs.String("host", u.Host), obs.String("path", p),
-		obs.Int("attempt", attempt), obs.Bool("hedged", hedged))
+		obs.Int("attempt", attempt))
 	defer span.End()
 	var body io.Reader
 	if payload != nil {
@@ -527,7 +461,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("User-Agent", c.opts.UserAgent)
+	req.Header.Set("User-Agent", userAgent)
 	if id := requestIDFrom(ctx); id != "" {
 		req.Header.Set("X-Request-ID", id)
 	}
@@ -555,51 +489,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 		body:      b,
 		requestID: resp.Header.Get("X-Request-ID"),
 	}, nil
-}
-
-// roundTripHedged races the primary exchange against a second one
-// launched after the hedge delay. The first completed exchange wins;
-// the straggler's context is cancelled on return.
-func (c *Client) roundTripHedged(ctx context.Context, method, path string, payload []byte, attempt int) (*attemptResult, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type res struct {
-		r   *attemptResult
-		err error
-	}
-	ch := make(chan res, 2)
-	launch := func(hedge bool) {
-		r, err := c.roundTrip(hctx, method, path, payload, attempt, hedge)
-		ch <- res{r, err}
-	}
-	go launch(false)
-	inflight := 1
-	hedged := false
-	timer := time.NewTimer(c.opts.Hedge)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			inflight--
-			if r.err == nil {
-				return r.r, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				inflight++
-				c.hedges.Add(1)
-				go launch(true)
-			}
-		}
-	}
 }
 
 // errorMessage extracts the server's {"error": ...} body, falling back

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,7 +310,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 
 	// Trip the breaker directly, wait out the cooldown, then race two
 	// calls through the half-open gate.
-	b := c.breakerFor(c.base.Host)
+	b := c.br
 	b.Failure()
 	if c.BreakerState() != BreakerOpen {
 		t.Fatal("breaker not open")
@@ -352,39 +351,34 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	}
 }
 
-// TestHedgedAnalyze: a slow primary is beaten by the hedge; the call
-// returns once, correctly, and the hedge counter moves.
-func TestHedgedAnalyze(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// Primary: stall long enough for the hedge to win.
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(2 * time.Second):
-			}
-		}
-		w.Write(okBody(t))
-	}))
-	defer ts.Close()
-
-	opts := fastOpts(ts.URL)
-	opts.Hedge = 20 * time.Millisecond
-	c := mustClient(t, opts)
-	start := time.Now()
-	resp, err := c.Analyze(context.Background(), analyzeReq())
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+// TestBreakerStateReadsHalfOpenAfterCooldown: once the cooldown has
+// elapsed an open breaker reads half-open, so a caller routing on
+// BreakerState tries the host again; reading it makes no transition,
+// and Allow still admits exactly one trial.
+func TestBreakerStateReadsHalfOpenAfterCooldown(t *testing.T) {
+	var transitions atomic.Int64
+	b := newBreaker("h", BreakerOptions{
+		FailureThreshold: 1,
+		Cooldown:         10 * time.Millisecond,
+		OnStateChange:    func(string, BreakerState, BreakerState) { transitions.Add(1) },
+	})
+	b.Failure()
+	if st := b.State(); st != BreakerOpen {
+		t.Fatalf("state = %v, want open", st)
 	}
-	if resp.Runtime != 42 {
-		t.Fatalf("runtime = %d", resp.Runtime)
+	time.Sleep(15 * time.Millisecond)
+	if st := b.State(); st != BreakerHalfOpen {
+		t.Fatalf("state after cooldown = %v, want half-open", st)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not win: call took %v", elapsed)
+	if got := transitions.Load(); got != 1 {
+		t.Fatalf("State made a transition: %d, want 1 (closed>open)", got)
 	}
-	if st := c.Stats(); st.Hedges != 1 {
-		t.Fatalf("hedges = %d, want 1", st.Hedges)
+	if !b.Allow() || b.Allow() {
+		t.Fatal("half-open breaker must admit exactly one trial")
+	}
+	b.Success()
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("state after a successful trial = %v, want closed", st)
 	}
 }
 
@@ -443,10 +437,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestStatsBreakersPerHost is the coordinator's regression test: a
-// tripped breaker must be visible as typed state in Stats() and as the
-// ErrCircuitOpen sentinel through every wrapping layer (including the
-// retry-exhaustion wrap), so callers never string-match to tell a dead
-// node from a transient error.
+// tripped breaker must be visible as typed state through BreakerState()
+// and as the ErrCircuitOpen sentinel through every wrapping layer
+// (including the retry-exhaustion wrap), so callers never string-match
+// to tell a dead node from a transient error.
 func TestStatsBreakersPerHost(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
@@ -459,18 +453,17 @@ func TestStatsBreakersPerHost(t *testing.T) {
 	c := mustClient(t, opts)
 	ctx := context.Background()
 
-	// Before any call the host has no breaker entry yet.
-	if st := c.Stats(); len(st.Breakers) != 0 {
-		t.Fatalf("pre-call Breakers = %v, want empty", st.Breakers)
+	// Before any call the breaker is closed.
+	if st := c.BreakerState(); st != BreakerClosed {
+		t.Fatalf("pre-call breaker = %v, want closed", st)
 	}
 
 	// One failure trips the threshold-1 breaker.
 	if _, err := c.Analyze(ctx, analyzeReq()); err == nil {
 		t.Fatal("expected server failure")
 	}
-	host := mustHost(t, ts.URL)
-	if st := c.Stats(); st.Breakers[host] != BreakerOpen {
-		t.Fatalf("Breakers[%s] = %v, want open", host, st.Breakers[host])
+	if st := c.BreakerState(); st != BreakerOpen {
+		t.Fatalf("breaker = %v, want open", st)
 	}
 
 	// The fast-fail error is the sentinel, not a string.
@@ -492,38 +485,24 @@ func TestStatsBreakersPerHost(t *testing.T) {
 	}
 }
 
-// mustHost extracts the host:port of a test server URL.
-func mustHost(t *testing.T, raw string) string {
-	t.Helper()
-	u, err := url.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return u.Host
-}
-
-// TestProbeBypassesRetryAndBreaker pins the probe contract: Healthz and
-// Status are single exchanges that neither retry an unhealthy answer
-// nor feed the circuit breaker guarding real traffic — a prober asking
-// "are you down?" must not push the breaker toward "down".
+// TestProbeBypassesRetryAndBreaker pins the probe contract: Status is
+// a single exchange that neither retries an unhealthy answer nor feeds
+// the circuit breaker guarding real traffic — a caller asking "are you
+// down?" must not push the breaker toward "down".
 func TestProbeBypassesRetryAndBreaker(t *testing.T) {
 	var calls atomic.Int64
-	draining := atomic.Bool{}
+	var draining, failing atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		switch r.URL.Path {
-		case "/healthz":
-			if draining.Load() {
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			w.Write([]byte("ok\n"))
-		case "/v1/status":
-			json.NewEncoder(w).Encode(serve.StatusResponse{Node: "n0", Draining: draining.Load()})
-		default:
+		if r.URL.Path != "/v1/status" {
 			http.Error(w, "not found", http.StatusNotFound)
+			return
 		}
+		if failing.Load() {
+			http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(serve.StatusResponse{Node: "n0", Draining: draining.Load()})
 	}))
 	defer ts.Close()
 
@@ -531,33 +510,31 @@ func TestProbeBypassesRetryAndBreaker(t *testing.T) {
 	opts.Breaker = BreakerOptions{FailureThreshold: 1, Cooldown: time.Minute}
 	c := mustClient(t, opts)
 
-	code, err := c.Healthz(context.Background())
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("Healthz = %d, %v; want 200, nil", code, err)
-	}
 	st, err := c.Status(context.Background())
 	if err != nil || st.Node != "n0" || st.Draining {
 		t.Fatalf("Status = %+v, %v", st, err)
 	}
-
-	// An unhealthy answer comes back as data, in exactly one exchange,
-	// and the breaker stays closed.
 	draining.Store(true)
-	before := calls.Load()
-	code, err = c.Healthz(context.Background())
-	if err != nil || code != http.StatusServiceUnavailable {
-		t.Fatalf("draining Healthz = %d, %v; want 503, nil", code, err)
-	}
-	if got := calls.Load() - before; got != 1 {
-		t.Fatalf("Healthz made %d exchanges, want exactly 1 (no retries)", got)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := c.Healthz(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if st, err := c.Status(context.Background()); err != nil || !st.Draining {
 		t.Fatalf("draining Status = %+v, %v", st, err)
+	}
+
+	// An unhealthy answer comes back as an *APIError, in exactly one
+	// exchange, and the breaker stays closed.
+	failing.Store(true)
+	before := calls.Load()
+	_, err = c.Status(context.Background())
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+		t.Fatalf("failing Status error = %v, want a 503 *APIError", err)
+	}
+	if got := calls.Load() - before; got != 1 {
+		t.Fatalf("Status made %d exchanges, want exactly 1 (no retries)", got)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Status(context.Background()); err == nil {
+			t.Fatal("failing Status returned no error")
+		}
 	}
 	if bs := c.BreakerState(); bs != BreakerClosed {
 		t.Fatalf("breaker = %v after unhealthy probes, want closed", bs)
@@ -565,8 +542,8 @@ func TestProbeBypassesRetryAndBreaker(t *testing.T) {
 
 	// A dead listener is a transport error, still breaker-neutral.
 	ts.Close()
-	if _, err := c.Healthz(context.Background()); err == nil {
-		t.Fatal("Healthz against a dead listener returned no error")
+	if _, err := c.Status(context.Background()); err == nil {
+		t.Fatal("Status against a dead listener returned no error")
 	}
 	if bs := c.BreakerState(); bs != BreakerClosed {
 		t.Fatalf("breaker = %v after failed probe, want closed", bs)

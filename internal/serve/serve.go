@@ -62,14 +62,11 @@ type Options struct {
 	// traces' span segments this node buffers for coordinators to pull
 	// (default 256; negative disables the store and its endpoint). The
 	// store only records requests that arrive with a valid traceparent
-	// header, so untraced traffic pays nothing.
+	// header, so untraced traffic pays nothing. Each trace buffers up
+	// to obs.DefaultSegmentSpans spans (overflow counts into
+	// maestro_trace_spans_dropped_total) and is evicted after
+	// obs.DefaultSegmentTTL idle; coordinator pulls refresh the clock.
 	SegmentTraces int
-	// SegmentSpans bounds buffered spans per trace (default 4096;
-	// overflow counts into maestro_trace_spans_dropped_total).
-	SegmentSpans int
-	// SegmentTTL evicts trace segments idle longer than this
-	// (default 2m). Coordinator pulls refresh the clock.
-	SegmentTTL time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -122,7 +119,7 @@ type Server struct {
 	started time.Time
 	// draining flips when graceful shutdown begins: /healthz (readiness)
 	// answers 503 from then on, while /v1/status (liveness) keeps
-	// answering 200 so probers can tell draining from dead.
+	// answering 200 so a load balancer can tell draining from dead.
 	draining atomic.Bool
 
 	requests        *CounterVec // by endpoint
@@ -153,7 +150,7 @@ func New(opts Options) *Server {
 		s.log = obs.DiscardLogger()
 	}
 	if opts.SegmentTraces >= 0 {
-		s.segments = obs.NewSegmentStore(opts.SegmentTraces, opts.SegmentSpans, opts.SegmentTTL)
+		s.segments = obs.NewSegmentStore(opts.SegmentTraces, 0, 0)
 	}
 	s.requests = s.reg.NewCounterVec("maestro_requests_total",
 		"Requests received, by endpoint.", "endpoint")
@@ -248,10 +245,12 @@ func (s *Server) Close() {
 
 // BeginDrain marks the server as draining: from this call on, the
 // /healthz readiness probe answers 503 with a Retry-After hint so load
-// balancers and fleet probers stop routing new work here, while
-// /v1/status keeps answering 200 (the process is alive and finishing
-// queued work). Idempotent; there is no way back to ready — a drained
-// server is on its way down.
+// balancers stop routing new work here, while /v1/status keeps
+// answering 200 (the process is alive and finishing queued work). A
+// fleet coordinator does not read /healthz: maestro-serve closes its
+// listener right after this call, and the refused dials trip the
+// node's breaker in the coordinator's client. Idempotent; there is no
+// way back to ready — a drained server is on its way down.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether graceful drain has begun.
@@ -519,8 +518,8 @@ func (s *Server) analyze(ctx context.Context, ms []batchMember) []answer {
 
 // handleHealthz is the readiness probe. Ready answers "ok"; once
 // graceful drain begins it answers 503 with a Retry-After derived from
-// the remaining backlog, so LBs and the fleet prober stop sending new
-// work while queued requests finish. Liveness stays on /v1/status.
+// the remaining backlog, so load balancers stop sending new work while
+// queued requests finish. Liveness stays on /v1/status.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.draining.Load() {

@@ -132,19 +132,14 @@ func TestChaosSoak(t *testing.T) {
 
 	clients := make([]*client.Client, nClients)
 	for i := range clients {
-		opts := client.Options{
+		c, err := client.New(client.Options{
 			BaseURL:     ts.URL,
 			MaxAttempts: 5,
 			BaseBackoff: 2 * time.Millisecond,
 			MaxBackoff:  20 * time.Millisecond,
 			Seed:        int64(i + 1),
 			Breaker:     client.BreakerOptions{FailureThreshold: 10, Cooldown: 50 * time.Millisecond},
-		}
-		if i == 0 {
-			// One hedging client keeps the racing code path under -race.
-			opts.Hedge = 5 * time.Millisecond
-		}
-		c, err := client.New(opts)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +185,9 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("soak verdicts: %v", verdicts)
 
-	var totalRetries, totalHedges int64
+	var totalRetries int64
 	for _, c := range clients {
-		st := c.Stats()
-		totalRetries += st.Retries
-		totalHedges += st.Hedges
+		totalRetries += c.Stats().Retries
 	}
 	injected := metricValue(t, ts.URL, `maestro_chaos_injected_total{kind="error"}`)
 	if injected == 0 {
@@ -203,7 +196,7 @@ func TestChaosSoak(t *testing.T) {
 	if injected > 0 && totalRetries == 0 {
 		t.Errorf("server injected %d errors but clients recorded zero retries", injected)
 	}
-	t.Logf("injected=%d retries=%d hedges=%d", injected, totalRetries, totalHedges)
+	t.Logf("injected=%d retries=%d", injected, totalRetries)
 
 	// ---- Phase 2: blackout. Every request fails; the breaker must
 	// open and start rejecting locally.

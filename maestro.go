@@ -438,9 +438,9 @@ var NewAnalysisServer = serve.New
 type ServeChaos = serve.Chaos
 
 // Resilient client for the analysis service: stdlib-only, with
-// jittered exponential retry honoring Retry-After, a per-host circuit
-// breaker, optional hedging for idempotent analyze calls, and context
-// deadline propagation into the service's timeout_ms.
+// jittered exponential retry honoring Retry-After, a circuit breaker
+// that re-admits a recovered node with one trial call per cooldown, and
+// context deadline propagation into the service's timeout_ms.
 type (
 	// Client calls a maestro-serve instance with retries, backoff, and
 	// a circuit breaker; build with NewClient.
@@ -449,7 +449,7 @@ type (
 	ClientOptions = client.Options
 	// ClientStats snapshots a Client's resilience counters.
 	ClientStats = client.Stats
-	// ClientBreakerOptions configures the per-host circuit breaker.
+	// ClientBreakerOptions configures the client's circuit breaker.
 	ClientBreakerOptions = client.BreakerOptions
 	// ClientBreakerState is a circuit breaker position
 	// (closed/open/half-open).
@@ -476,8 +476,11 @@ var (
 // over the canonical (layer, template, PE subset) key so repeat sweeps
 // hit warm profile caches, and merges the partial Pareto fronts as
 // shards complete. Node loss re-dispatches stranded shards along the
-// ring; a straggler watchdog steals the slowest shard onto an idle
-// node with at-most-once result accounting.
+// ring, and each node's client breaker is the one health signal: an
+// open breaker keeps shards off a failing node, and after its cooldown
+// one trial shard re-admits a recovered one. A straggler watchdog
+// steals the slowest shard onto an idle node with at-most-once result
+// accounting.
 type (
 	// Fleet coordinates sharded sweeps over a pool of serve nodes;
 	// build with NewFleet.
@@ -495,11 +498,6 @@ type (
 	// FleetShardResult is one settled shard of either sweep kind,
 	// streamed via FleetOptions.OnShard.
 	FleetShardResult = fleet.ShardResult
-	// FleetProbeOptions configures the active health prober
-	// (FleetOptions.Probe); a zero Interval disables probing.
-	FleetProbeOptions = fleet.ProbeOptions
-	// FleetHealth is a probed node state: unknown, up, draining, dead.
-	FleetHealth = fleet.Health
 	// DSEShardSpec is one shard of a partitioned (PE, tile-knob) grid.
 	DSEShardSpec = dse.Shard
 	// ServeDSEShard is the /v1/dse shard descriptor scoping a sweep to
